@@ -98,8 +98,9 @@ let table3 () =
       Sweeper.Report.print_table3_row r)
     apps;
   Printf.printf
-    "(wall-clock of this harness; the paper's ordering core-dump << membug \
-     < taint << slicing and first-VSEF << total is the reproduced shape)\n"
+    "(wall-clock of this harness; core-dump << the replay stages and \
+     first-VSEF << total are the reproduced shape; the paper's slicing >> \
+     membug is not, since slicing is fused — see EXPERIMENTS.md)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4: normal-execution overhead vs checkpoint interval          *)
@@ -1448,7 +1449,7 @@ let micro_taint () =
   Printf.printf "taint, fused shadow-page engine : %8.1f ns/instr\n" fused;
   Printf.printf "taint, per-byte oracle engine   : %8.1f ns/instr (%.1fx)\n"
     oracle (oracle /. fused);
-  Printf.printf "backward slice (paged last-writer): %6.1f ns/instr\n" slice;
+  Printf.printf "backward slice, fused flat graph : %8.1f ns/instr\n" slice;
   (fused, oracle, slice)
 
 (* ------------------------------------------------------------------ *)

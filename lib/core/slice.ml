@@ -14,87 +14,98 @@ module Int_set = Set.Make (Int)
 (* The last-writer map is paged like {!Vm.Memory} (and {!Taint}'s shadow):
    one [int array] of last-writer sequence numbers per touched 4 KiB page,
    -1 meaning "never written". A replay's working set is a handful of hot
-   pages, so a one-entry TLB plus a one-entry negative cache (for reads of
-   never-written pages — code, library data) keeps the per-byte cost to an
-   array index instead of a hashtable probe. *)
+   pages — stack, globals, heap — touched in alternation, so a small
+   direct-mapped TLB (caching absent pages as [no_page] too) keeps the
+   per-byte cost to an array index instead of a hashtable probe. *)
 let page_bits = Vm.Memory.page_bits
 let page_size = Vm.Memory.page_size
 let page_mask = page_size - 1
 let no_page : int array = [||]
+let tlb_size = 16
 
-type node = {
-  n_seq : int;   (** dynamic instruction number (dense, from 0) *)
-  n_pc : int;
-  n_deps : int list;  (** seq numbers this node depends on *)
-  n_src_msg : int option;  (** message id for network-input source nodes *)
-}
-
+(* The graph is flat, in CSR form. Node [s] (its dynamic instruction
+   number, dense from 0) is one word [nodes.(s)] packing the node's pc (low
+   32 bits) with the offset of its dependences in [deps] (high bits): its
+   data and flag dependences are [deps.(dep_lo s) .. deps.(dep_lo (s + 1)
+   - 1)], each an earlier node, deduplicated. Entry [nodes.(count)] is the
+   sentinel holding the next node's offset. Both are growable unboxed
+   [int] arrays, so recording an instruction allocates nothing. The
+   control dependence every node has — the last branch before it — is not
+   stored: [anchors] marks the nodes that set it, so it is the nearest
+   marked node below [s]. Receive (network-input source) nodes are rare
+   and live in a short list. *)
 type t = {
   proc : Osim.Process.t;
-  mutable nodes : node array;
-  mutable count : int;
+  mutable count : int;               (** nodes recorded *)
+  mutable nodes : int array;         (** node -> deps offset [lsl 32] [lor] pc *)
+  mutable deps : int array;
+  mutable dlen : int;                (** [deps] used; = [dep_lo count] *)
+  mutable anchors : Bytes.t;         (** node -> non-zero if it sets [last_branch] *)
+  mutable recvs : (int * int) list;  (** [(seq, msg_id)] receive nodes, newest first *)
   last_reg : int array;              (** reg -> seq of last writer *)
   last_mem : (int, int array) Hashtbl.t;
       (** page index -> per-byte seq of last writer (-1 = never) *)
-  mutable lm_tlb_idx : int;          (** page index cached in [lm_tlb] *)
-  mutable lm_tlb : int array;
-  mutable lm_neg_idx : int;          (** page index known absent *)
+  lm_tlb_idx : int array;            (** TLB slot -> page index cached, -1 = none *)
+  lm_tlb : int array array;          (** TLB slot -> page, [no_page] if absent *)
   mutable last_flags : int;
   mutable last_branch : int;
 }
 
+(* Most stored dependences one node can have: four registers (a syscall's
+   arguments), four memory bytes, the flags. *)
+let max_deps = 9
+
 let create proc =
   {
     proc;
-    nodes = Array.make 4096 { n_seq = 0; n_pc = 0; n_deps = []; n_src_msg = None };
     count = 0;
+    nodes = Array.make 4096 0;
+    deps = Array.make 16384 0;
+    dlen = 0;
+    anchors = Bytes.make 4096 '\000';
+    recvs = [];
     last_reg = Array.make Vm.Isa.num_regs (-1);
     last_mem = Hashtbl.create 64;
-    lm_tlb_idx = -1;
-    lm_tlb = no_page;
-    lm_neg_idx = -1;
+    lm_tlb_idx = Array.make tlb_size (-1);
+    lm_tlb = Array.make tlb_size no_page;
     last_flags = -1;
     last_branch = -1;
   }
 
+(* The page of index [idx], or [no_page] when it was never written. *)
+let lm_lookup st idx =
+  let j = idx land (tlb_size - 1) in
+  if Array.unsafe_get st.lm_tlb_idx j = idx then Array.unsafe_get st.lm_tlb j
+  else begin
+    let pg =
+      match Hashtbl.find_opt st.last_mem idx with Some pg -> pg | None -> no_page
+    in
+    Array.unsafe_set st.lm_tlb_idx j idx;
+    Array.unsafe_set st.lm_tlb j pg;
+    pg
+  end
+
 (* Write side: the page for [addr], materialized on first write. *)
 let lm_page st addr =
   let idx = addr lsr page_bits in
-  if idx = st.lm_tlb_idx then st.lm_tlb
+  let pg = lm_lookup st idx in
+  if pg != no_page then pg
   else begin
-    let pg =
-      match Hashtbl.find_opt st.last_mem idx with
-      | Some pg -> pg
-      | None ->
-        let pg = Array.make page_size (-1) in
-        Hashtbl.add st.last_mem idx pg;
-        pg
-    in
-    if st.lm_neg_idx = idx then st.lm_neg_idx <- -1;
-    st.lm_tlb_idx <- idx;
-    st.lm_tlb <- pg;
+    let pg = Array.make page_size (-1) in
+    Hashtbl.add st.last_mem idx pg;
+    Array.unsafe_set st.lm_tlb (idx land (tlb_size - 1)) pg;
     pg
   end
 
 (* Read side: seq of the last writer of [addr], -1 when never written. *)
 let lm_get st addr =
-  let idx = addr lsr page_bits in
-  if idx = st.lm_tlb_idx then Array.unsafe_get st.lm_tlb (addr land page_mask)
-  else if idx = st.lm_neg_idx then -1
-  else
-    match Hashtbl.find_opt st.last_mem idx with
-    | None ->
-      st.lm_neg_idx <- idx;
-      -1
-    | Some pg ->
-      st.lm_tlb_idx <- idx;
-      st.lm_tlb <- pg;
-      Array.unsafe_get pg (addr land page_mask)
+  let pg = lm_lookup st (addr lsr page_bits) in
+  if pg == no_page then -1 else Array.unsafe_get pg (addr land page_mask)
 
 let lm_set st addr seq =
   Array.unsafe_set (lm_page st addr) (addr land page_mask) seq
 
-(* Range fill (recv buffers): whole spans per page via [Array.fill]. *)
+(* Range fill (recv buffers and word writes): whole spans per page. *)
 let lm_fill st addr len seq =
   let a = ref addr and remaining = ref len in
   while !remaining > 0 do
@@ -106,52 +117,123 @@ let lm_fill st addr len seq =
     remaining := !remaining - n
   done
 
-let push st node =
-  if st.count = Array.length st.nodes then begin
-    let bigger = Array.make (2 * st.count) node in
-    Array.blit st.nodes 0 bigger 0 st.count;
-    st.nodes <- bigger
+let lm_set_word st addr seq =
+  let off = addr land page_mask in
+  if off <= page_size - 4 then begin
+    let pg = lm_page st addr in
+    Array.unsafe_set pg off seq;
+    Array.unsafe_set pg (off + 1) seq;
+    Array.unsafe_set pg (off + 2) seq;
+    Array.unsafe_set pg (off + 3) seq
+  end
+  else lm_fill st addr 4 seq
+
+(* ------------------------------------------------------------------ *)
+(* Recording                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let grow (a : int array) len =
+  let b = Array.make len 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let pc_bits = 32
+let pc_mask = (1 lsl pc_bits) - 1
+
+(* Offset of node [s]'s first dependence in a [nodes]-shaped array. *)
+let dep_lo nodes s = Array.unsafe_get nodes s lsr pc_bits
+let pc_of nodes s = Array.unsafe_get nodes s land pc_mask
+
+(* Room for one more node (and the sentinel after it) with [max_deps]
+   dependences. *)
+let reserve st =
+  if st.count + 1 >= Array.length st.nodes then begin
+    st.nodes <- grow st.nodes (2 * Array.length st.nodes);
+    let a = Bytes.make (Array.length st.nodes) '\000' in
+    Bytes.blit st.anchors 0 a 0 st.count;
+    st.anchors <- a
   end;
-  st.nodes.(st.count) <- node;
-  st.count <- st.count + 1
+  if st.dlen + max_deps > Array.length st.deps then
+    st.deps <- grow st.deps (2 * Array.length st.deps)
 
-(* Dependences of an effect against the current last-writer maps. *)
-let deps_of st (eff : Vm.Event.effect_) =
-  let acc = ref [] in
-  let add s = if s >= 0 then acc := s :: !acc in
-  List.iter (fun r -> add st.last_reg.(Vm.Isa.reg_index r)) eff.e_regs_read;
-  List.iter
-    (fun (a : Vm.Event.access) ->
-      for i = 0 to a.a_size - 1 do
-        add (lm_get st (a.a_addr + i))
-      done)
-    eff.e_mem_reads;
-  if eff.e_flags_read then add st.last_flags;
-  add st.last_branch;
-  List.sort_uniq compare !acc
+let rec present (d : int array) (s : int) i start =
+  i >= start && (Array.unsafe_get d i = s || present d s (i - 1) start)
 
-let on_effect st (eff : Vm.Event.effect_) =
+(* Add [s] to the open node's dependences: skipped when negative (no
+   writer) or already listed — a node has at most [max_deps], so the
+   in-place linear dedupe beats any set. *)
+let add_dep st s =
+  if s >= 0 then begin
+    let d = st.deps and n = st.dlen in
+    if not (present d s (n - 1) (dep_lo st.nodes st.count)) then begin
+      Array.unsafe_set d n s;
+      st.dlen <- n + 1
+    end
+  end
+
+let dep_reg st i = add_dep st (Array.unsafe_get st.last_reg i)
+
+let dep_mem st addr size =
+  for i = 0 to size - 1 do
+    add_dep st (lm_get st (addr + i))
+  done
+
+(* [dep_mem st addr 4] with one page probe when the word sits inside a
+   page; bytes written together (the common case) skip the dedupe scan. *)
+let dep_word st addr =
+  let off = addr land page_mask in
+  if off <= page_size - 4 then begin
+    let pg = lm_lookup st (addr lsr page_bits) in
+    if pg != no_page then begin
+      let a = Array.unsafe_get pg off in
+      add_dep st a;
+      let b = Array.unsafe_get pg (off + 1) in
+      if b <> a then add_dep st b;
+      let c = Array.unsafe_get pg (off + 2) in
+      if c <> a then add_dep st c;
+      let d = Array.unsafe_get pg (off + 3) in
+      if d <> a then add_dep st d
+    end
+  end
+  else dep_mem st addr 4
+
+(* Close the open node: it executed at [pc]; returns its seq. *)
+let close_node st pc =
   let seq = st.count in
-  let deps = deps_of st eff in
-  let src_msg =
-    match eff.e_sys with
-    | Vm.Event.Io_recv { msg_id; _ } -> Some msg_id
-    | _ -> None
-  in
-  push st { n_seq = seq; n_pc = eff.e_pc; n_deps = deps; n_src_msg = src_msg };
+  Array.unsafe_set st.nodes seq (Array.unsafe_get st.nodes seq lor pc);
+  Array.unsafe_set st.nodes (seq + 1) (st.dlen lsl pc_bits);
+  st.count <- seq + 1;
+  seq
+
+(* Node [seq] is a control-dependence anchor: later nodes depend on it. *)
+let anchor st seq =
+  Bytes.unsafe_set st.anchors seq '\001';
+  st.last_branch <- seq
+
+(* The generic recorder, a post-hook on the instrumented path: it reads
+   dependences off the effect record. The fused loop below records the
+   same node for every instruction [exec_fast] runs, and leaves the rest
+   (syscalls — receives included — and faults) to this hook. *)
+let on_effect st (eff : Vm.Event.effect_) =
+  reserve st;
+  List.iter (fun r -> dep_reg st (Vm.Isa.reg_index r)) eff.e_regs_read;
+  List.iter
+    (fun (a : Vm.Event.access) -> dep_mem st a.a_addr a.a_size)
+    eff.e_mem_reads;
+  if eff.e_flags_read then add_dep st st.last_flags;
+  let seq = close_node st eff.e_pc in
   (* Update writer maps. *)
   if eff.e_rw_count >= 1 then begin
     st.last_reg.(Vm.Isa.reg_index eff.e_rw0) <- seq;
     if eff.e_rw_count >= 2 then st.last_reg.(Vm.Isa.reg_index eff.e_rw1) <- seq
   end;
   List.iter
-    (fun (a : Vm.Event.access) ->
-      for i = 0 to a.a_size - 1 do
-        lm_set st (a.a_addr + i) seq
-      done)
+    (fun (a : Vm.Event.access) -> lm_fill st a.a_addr a.a_size seq)
     eff.e_mem_writes;
   (match eff.e_sys with
-  | Vm.Event.Io_recv { buf; len; _ } -> lm_fill st buf len seq
+  | Vm.Event.Io_recv { buf; len; msg_id } ->
+    lm_fill st buf len seq;
+    st.recvs <- (seq, msg_id) :: st.recvs
   | _ -> ());
   if eff.e_flags_written then st.last_flags <- seq;
   match eff.e_ctrl with
@@ -159,18 +241,192 @@ let on_effect st (eff : Vm.Event.effect_) =
     (* Conditional jumps (and taken unconditional ones reached through a
        condition) are control-dependence anchors. *)
     match eff.e_instr with
-    | Vm.Isa.Jcc _ -> st.last_branch <- seq
+    | Vm.Isa.Jcc _ -> anchor st seq
     | _ -> ())
-  | Vm.Event.Ret_to | Vm.Event.Call_to -> st.last_branch <- seq
+  | Vm.Event.Ret_to | Vm.Event.Call_to -> anchor st seq
   | Vm.Event.Next -> (
     match eff.e_instr with
-    | Vm.Isa.Jcc _ -> st.last_branch <- seq  (* not-taken branch still governs *)
+    | Vm.Isa.Jcc _ -> anchor st seq  (* not-taken branch still governs *)
     | _ -> ())
   | Vm.Event.Sys | Vm.Event.Stop -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Fused replay loop                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* When the slicer is the only instrumentation, the replay skips the
+   effect record: machine semantics come from [Vm.Cpu.exec_fast] (never
+   re-implemented here) and [record] derives the node straight from the
+   decoded instruction, mirroring {!on_effect} dependence for dependence —
+   the differential suite holds the two to account. Addresses are read
+   before [exec_fast] runs; dependences and writer updates are applied only
+   if it succeeds. When it declines (syscalls, anything that would fault)
+   the instruction re-runs on the instrumented path, where the registered
+   [on_effect] post-hook records it — or, for a fault, nothing does,
+   matching post-commit hook semantics. *)
+
+let slow cpu = ignore (Vm.Cpu.step cpu : Vm.Event.effect_)
+
+let sp_idx = Vm.Isa.reg_index Vm.Isa.SP
+
+(* Register [r] (an index) was last written by node [seq]. *)
+let wrote st r seq = Array.unsafe_set st.last_reg r seq
+
+(* The address [instr] touches, read before it executes (0 if none). *)
+let pre_addr regs (instr : Vm.Isa.instr) =
+  let open Vm.Isa in
+  match instr with
+  | Load (_, r, off) | Loadb (_, r, off) | Store (r, off, _) | Storeb (r, off, _) ->
+    to_u32 (Array.unsafe_get regs (reg_index r) + off)
+  | Push _ | Call _ | CallInd _ -> to_u32 (Array.unsafe_get regs sp_idx - 4)
+  | Pop _ | Ret -> Array.unsafe_get regs sp_idx
+  | _ -> 0
+
+(* Run [instr] at [pc] through [exec_fast] and record its node, adding
+   dependences in the order {!on_effect} does; [false] (nothing recorded,
+   nothing changed) when [exec_fast] declines. *)
+let record st cpu pc (instr : Vm.Isa.instr) =
+  let open Vm.Isa in
+  let addr = pre_addr cpu.Vm.Cpu.regs instr in
+  Vm.Cpu.exec_fast cpu instr
+  && begin
+    reserve st;
+    (match instr with
+    | Mov (rd, Reg rs) ->
+      dep_reg st (reg_index rs);
+      wrote st (reg_index rd) (close_node st pc)
+    | Mov (rd, _) -> wrote st (reg_index rd) (close_node st pc)
+    | Bin (_, rd, src) ->
+      dep_reg st (reg_index rd);
+      (match src with Reg r -> dep_reg st (reg_index r) | Imm _ | Sym _ -> ());
+      wrote st (reg_index rd) (close_node st pc)
+    | Not rd | Neg rd ->
+      dep_reg st (reg_index rd);
+      wrote st (reg_index rd) (close_node st pc)
+    | Load (rd, rs, _) ->
+      dep_reg st (reg_index rs);
+      dep_word st addr;
+      wrote st (reg_index rd) (close_node st pc)
+    | Loadb (rd, rs, _) ->
+      dep_reg st (reg_index rs);
+      add_dep st (lm_get st addr);
+      wrote st (reg_index rd) (close_node st pc)
+    | Store (rb, _, rs) ->
+      dep_reg st (reg_index rb);
+      dep_reg st (reg_index rs);
+      lm_set_word st addr (close_node st pc)
+    | Storeb (rb, _, rs) ->
+      dep_reg st (reg_index rb);
+      dep_reg st (reg_index rs);
+      lm_set st addr (close_node st pc)
+    | Push op ->
+      dep_reg st sp_idx;
+      (match op with Reg r -> dep_reg st (reg_index r) | Imm _ | Sym _ -> ());
+      let seq = close_node st pc in
+      lm_set_word st addr seq;
+      wrote st sp_idx seq
+    | Pop rd ->
+      dep_reg st sp_idx;
+      dep_word st addr;
+      let seq = close_node st pc in
+      wrote st (reg_index rd) seq;
+      wrote st sp_idx seq
+    | Cmp (r, op) ->
+      dep_reg st (reg_index r);
+      (match op with Reg r2 -> dep_reg st (reg_index r2) | Imm _ | Sym _ -> ());
+      st.last_flags <- close_node st pc
+    | Jcc _ ->
+      add_dep st st.last_flags;
+      anchor st (close_node st pc)
+    | Call _ | CallInd _ ->
+      (match instr with CallInd r -> dep_reg st (reg_index r) | _ -> ());
+      dep_reg st sp_idx;
+      let seq = close_node st pc in
+      lm_set_word st addr seq;
+      wrote st sp_idx seq;
+      anchor st seq
+    | Ret ->
+      dep_reg st sp_idx;
+      dep_word st addr;
+      let seq = close_node st pc in
+      wrote st sp_idx seq;
+      anchor st seq
+    | Jmp _ | Halt | Nop | Syscall _ (* [exec_fast] declines syscalls *) ->
+      ignore (close_node st pc : int));
+    true
+  end
+
+(* Segment-pinned inner loop (the shape of the interpreter's own fast
+   dispatch): while the pc stays inside [s], decode by direct indexing.
+   Returns the remaining fuel — unchanged iff no progress was made. *)
+let rec fused_seg st cpu s fuel =
+  if cpu.Vm.Cpu.halted || fuel <= 0 then fuel
+  else
+    let pc = cpu.Vm.Cpu.pc in
+    let off = pc - s.Vm.Program.seg_base in
+    if off < 0 || pc >= s.Vm.Program.seg_limit then fuel (* left the segment *)
+    else if off land 3 <> 0 then fuel (* misaligned: slow path faults *)
+    else begin
+      if not (record st cpu pc (Array.unsafe_get s.Vm.Program.seg_instrs (off lsr 2)))
+      then slow cpu;
+      fused_seg st cpu s (fuel - 1)
+    end
+
+(* The driver around [fused_seg], with {!Vm.Cpu.run}'s outcome and fuel
+   semantics: one fuel unit per instruction, faults counted on the CPU. *)
+let fused_run st cpu fuel =
+  let segs = cpu.Vm.Cpu.code.Vm.Program.segments in
+  let rec go n =
+    if cpu.Vm.Cpu.halted then Vm.Cpu.Halted
+    else if n <= 0 then Vm.Cpu.Out_of_fuel
+    else dispatch n cpu.Vm.Cpu.pc 0
+  and dispatch n pc i =
+    if i >= Array.length segs then begin
+      slow cpu (* unmapped pc: faults there *)
+      ; go (n - 1)
+    end
+    else
+      let s = Array.unsafe_get segs i in
+      if pc >= s.Vm.Program.seg_base && pc < s.Vm.Program.seg_limit then begin
+        let n' = fused_seg st cpu s n in
+        if n' = n then begin
+          slow cpu;
+          go (n' - 1)
+        end
+        else go n'
+      end
+      else dispatch n pc (i + 1)
+  in
+  try go fuel with
+  | Vm.Event.Fault f ->
+    cpu.Vm.Cpu.fault_count <- cpu.Vm.Cpu.fault_count + 1;
+    Vm.Cpu.Faulted f
+  | Vm.Event.Blocked -> Vm.Cpu.Blocked
+
+(* Replay with the recorder attached: the fused loop when nothing else
+   listens, the generic hooked interpreter otherwise (so foreign hooks keep
+   firing). As in {!Taint.run}, the fused loop's [exec_fast] work is
+   charged to [fast_retired], keeping the retirement audit exact. *)
+let replay st cpu fuel =
+  let hook = Vm.Cpu.add_post_hook cpu (on_effect st) in
+  Fun.protect ~finally:(fun () -> Vm.Cpu.remove_hook cpu hook) (fun () ->
+      if Vm.Cpu.global_hook_count cpu = 1 && Vm.Cpu.pc_hook_count cpu = 0 then begin
+        let before = cpu.Vm.Cpu.icount and slow0 = cpu.Vm.Cpu.slow_retired in
+        let o = fused_run st cpu fuel in
+        cpu.Vm.Cpu.fast_retired <-
+          cpu.Vm.Cpu.fast_retired
+          + (cpu.Vm.Cpu.icount - before)
+          - (cpu.Vm.Cpu.slow_retired - slow0);
+        o
+      end
+      else Vm.Cpu.run ~fuel cpu)
+
 (* Dependences of the *faulting* instruction, which never became a node
    because the fault pre-empted execution. Reconstructed from the machine
-   state. *)
+   state: the registers it read, and for a faulting stack read ([Ret],
+   [Pop]) the word at SP. A stack write that faults ([Push], [Call], a
+   [CallInd] whose target was valid) depends on SP, so a stack-exhaustion
+   fault slices back to whatever moved SP out of the stack. *)
 let fault_deps st =
   let cpu = st.proc.Osim.Process.cpu in
   let pc = cpu.Vm.Cpu.pc in
@@ -183,10 +439,17 @@ let fault_deps st =
     done
   in
   (match Vm.Program.fetch cpu.Vm.Cpu.code pc with
-  | Some (Vm.Isa.Ret) ->
+  | Some (Vm.Isa.Ret | Vm.Isa.Pop _) ->
     add_reg Vm.Isa.SP;
     add_mem (Vm.Cpu.get_reg cpu Vm.Isa.SP) 4
-  | Some (Vm.Isa.CallInd r) -> add_reg r
+  | Some (Vm.Isa.Push op) -> (
+    add_reg Vm.Isa.SP;
+    match op with Vm.Isa.Reg r -> add_reg r | _ -> ())
+  | Some (Vm.Isa.Call _) -> add_reg Vm.Isa.SP
+  | Some (Vm.Isa.CallInd r) ->
+    add_reg r;
+    if Vm.Layout.valid_code cpu.Vm.Cpu.layout (Vm.Cpu.get_reg cpu r) then
+      add_reg Vm.Isa.SP
   | Some (Vm.Isa.Load (_, rs, _) | Vm.Isa.Loadb (_, rs, _)) -> add_reg rs
   | Some (Vm.Isa.Store (rb, _, rs) | Vm.Isa.Storeb (rb, _, rs)) ->
     add_reg rb;
@@ -196,7 +459,91 @@ let fault_deps st =
     match src with Vm.Isa.Reg r -> add_reg r | _ -> ())
   | _ -> ());
   add st.last_branch;
-  (pc, List.sort_uniq compare !acc)
+  (pc, !acc)
+
+(* ------------------------------------------------------------------ *)
+(* Slice walks                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Static pcs of a walk: one mark byte per instruction of each code
+   segment, with the last segment hit cached (a walk stays mostly inside
+   one image), folded into a set once at the end. *)
+type pc_marks = {
+  segs : Vm.Program.segment array;
+  bits : Bytes.t array;
+  mutable last : int;
+}
+
+let pc_marks st =
+  let segs = st.proc.Osim.Process.cpu.Vm.Cpu.code.Vm.Program.segments in
+  {
+    segs;
+    bits = Array.map (fun s -> Bytes.make (Array.length s.Vm.Program.seg_instrs) '\000') segs;
+    last = 0;
+  }
+
+(* Every node executed, so its pc lies in some segment. *)
+let rec seg_of segs pc i =
+  let s = segs.(i) in
+  if pc >= s.Vm.Program.seg_base && pc < s.Vm.Program.seg_limit then i
+  else seg_of segs pc (i + 1)
+
+let mark_pc m pc =
+  let s = m.segs.(m.last) in
+  if pc < s.Vm.Program.seg_base || pc >= s.Vm.Program.seg_limit then
+    m.last <- seg_of m.segs pc 0;
+  Bytes.unsafe_set m.bits.(m.last)
+    ((pc - m.segs.(m.last).Vm.Program.seg_base) lsr 2)
+    '\001'
+
+let pcs_of m =
+  let acc = ref [] in
+  for i = Array.length m.segs - 1 downto 0 do
+    let b = m.bits.(i) and base = m.segs.(i).Vm.Program.seg_base in
+    for k = Bytes.length b - 1 downto 0 do
+      if Bytes.unsafe_get b k <> '\000' then acc := (base + (k * Vm.Isa.instr_size)) :: !acc
+    done
+  done;
+  Int_set.of_list !acc
+
+(* Scan down from [i] for the control dependence of the node above it:
+   the nearest anchor at or below [i] (-1 if none). A visited non-anchor
+   on the way ends the scan early with -1: it shares that anchor, and the
+   walk pushes it when processing that node. *)
+let rec anchor_below anchors seen i =
+  if i < 0 || Bytes.unsafe_get anchors i <> '\000' then i
+  else if Bytes.unsafe_get seen i <> '\000' then -1
+  else anchor_below anchors seen (i - 1)
+
+(* Iterative graph walk from [seeds] over a CSR graph of the [nodes]/[deps]
+   shape (node [s]'s neighbours are [adj.(dep_lo nodes s) .. adj.(dep_lo
+   nodes (s + 1) - 1)], plus its control dependence when [ctrl]). Marks
+   visited nodes in the returned bytes and their pcs in [m]; also returns
+   how many nodes it visited. *)
+let walk st m ~ctrl ~nodes ~adj seeds =
+  let n = st.count in
+  let seen = Bytes.make (max 1 n) '\000' in
+  let stack = ref (Array.make 1024 0) and top = ref 0 and visited = ref 0 in
+  let push s =
+    if s >= 0 && s < n && Bytes.unsafe_get seen s = '\000' then begin
+      Bytes.unsafe_set seen s '\001';
+      incr visited;
+      mark_pc m (pc_of nodes s);
+      if !top = Array.length !stack then stack := grow !stack (2 * !top);
+      Array.unsafe_set !stack !top s;
+      incr top
+    end
+  in
+  List.iter push seeds;
+  while !top > 0 do
+    decr top;
+    let s = Array.unsafe_get !stack !top in
+    for e = dep_lo nodes s to dep_lo nodes (s + 1) - 1 do
+      push (Array.unsafe_get adj e)
+    done;
+    if ctrl then push (anchor_below st.anchors seen (s - 1))
+  done;
+  (seen, !visited)
 
 type summary = {
   s_nodes : int;              (** dynamic instructions in the window *)
@@ -208,27 +555,21 @@ type summary = {
 
 (** Walk backward from the given roots. *)
 let backward st ~fault_pc ~roots : summary =
-  let in_slice = Array.make (max 1 st.count) false in
-  let pcs = ref Int_set.empty in
-  let msgs = ref Int_set.empty in
-  let rec visit s =
-    if s >= 0 && s < st.count && not (in_slice.(s)) then begin
-      in_slice.(s) <- true;
-      let n = st.nodes.(s) in
-      pcs := Int_set.add n.n_pc !pcs;
-      (match n.n_src_msg with
-      | Some m -> msgs := Int_set.add m !msgs
-      | None -> ());
-      List.iter visit n.n_deps
-    end
+  let m = pc_marks st in
+  let in_slice, size =
+    walk st m ~ctrl:true ~nodes:st.nodes ~adj:st.deps roots
   in
-  List.iter visit roots;
-  let size = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 in_slice in
+  let msgs =
+    List.fold_left
+      (fun acc (s, msg) ->
+        if Bytes.get in_slice s <> '\000' then Int_set.add msg acc else acc)
+      Int_set.empty st.recvs
+  in
   {
     s_nodes = st.count;
     s_slice_size = size;
-    s_pcs = Int_set.add fault_pc !pcs;
-    s_msgs = !msgs;
+    s_pcs = Int_set.add fault_pc (pcs_of m);
+    s_msgs = msgs;
     s_fault_pc = fault_pc;
   }
 
@@ -237,24 +578,9 @@ type result = {
   sl_instructions : int;
 }
 
-(** Attach the graph collector, run the replay, slice backward from the
-    fault (or from the final instruction if the replay ended cleanly). *)
-let run ?(fuel = 20_000_000) (proc : Osim.Process.t) : result =
-  let st = create proc in
-  let hook = Vm.Cpu.add_post_hook proc.cpu (on_effect st) in
-  let outcome = Vm.Cpu.run ~fuel proc.cpu in
-  Vm.Cpu.remove_hook proc.cpu hook;
-  let fault_pc, roots =
-    match outcome with
-    | Vm.Cpu.Faulted _ -> fault_deps st
-    | _ ->
-      let pc = proc.Osim.Process.cpu.Vm.Cpu.pc in
-      (pc, if st.count = 0 then [] else [ st.count - 1 ])
-  in
-  { sl_summary = backward st ~fault_pc ~roots; sl_instructions = st.count }
-
-(** Does the slice contain (verify) an instruction another analysis
-    blamed? The slice is the ground truth: a claim outside it is wrong. *)
+(** Verdict check: does the slice contain (verify) an instruction another
+    analysis blamed? The slice is the ground truth: a claim outside it is
+    wrong. *)
 let verifies (s : summary) pc = Int_set.mem pc s.s_pcs
 
 (* ------------------------------------------------------------------ *)
@@ -271,28 +597,43 @@ type forward = {
   fw_pcs : Int_set.t;     (** static instructions influenced *)
 }
 
+(* Every edge [s -> d] ("node [s] depends on [d]"), control dependences
+   included, in ascending [s]. *)
+let iter_edges st f =
+  let last_anchor = ref (-1) in
+  for s = 0 to st.count - 1 do
+    for e = dep_lo st.nodes s to dep_lo st.nodes (s + 1) - 1 do
+      f s (Array.unsafe_get st.deps e)
+    done;
+    if !last_anchor >= 0 then f s !last_anchor;
+    if Bytes.get st.anchors s <> '\000' then last_anchor := s
+  done
+
 (* Walk the graph forward from the given seeds. The graph stores backward
-   edges, so build the successor relation once. *)
+   edges, so first transpose it into a successor CSR of the same shape:
+   count in-edges per node, prefix-sum into range ends, place each edge
+   while stepping its target's cursor back to the range start, then pack
+   the pcs in beside the offsets. *)
 let forward_from st ~seeds : forward =
   let n = st.count in
-  let succs = Array.make (max 1 n) [] in
-  for s = 0 to n - 1 do
-    List.iter
-      (fun d -> if d >= 0 && d < n then succs.(d) <- s :: succs.(d))
-      st.nodes.(s).n_deps
+  let off = Array.make (n + 1) 0 in
+  let edges = ref 0 in
+  iter_edges st (fun _ d ->
+      off.(d) <- off.(d) + 1;
+      incr edges);
+  for d = 1 to n do
+    off.(d) <- off.(d) + off.(d - 1)
   done;
-  let influenced = Array.make (max 1 n) false in
-  let pcs = ref Int_set.empty in
-  let rec visit s =
-    if s >= 0 && s < n && not influenced.(s) then begin
-      influenced.(s) <- true;
-      pcs := Int_set.add st.nodes.(s).n_pc !pcs;
-      List.iter visit succs.(s)
-    end
-  in
-  List.iter visit seeds;
-  let size = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 influenced in
-  { fw_size = size; fw_pcs = !pcs }
+  let succ = Array.make (max 1 !edges) 0 in
+  iter_edges st (fun s d ->
+      off.(d) <- off.(d) - 1;
+      succ.(off.(d)) <- s);
+  for s = 0 to n do
+    off.(s) <- (off.(s) lsl pc_bits) lor (if s < n then pc_of st.nodes s else 0)
+  done;
+  let m = pc_marks st in
+  let _, size = walk st m ~ctrl:false ~nodes:off ~adj:succ seeds in
+  { fw_size = size; fw_pcs = pcs_of m }
 
 (** Result of a replay that keeps the dependence graph for further queries
     (forward slices, per-message influence). *)
@@ -302,12 +643,12 @@ type session = {
   backward : summary;
 }
 
-(** Like {!run}, but retain the graph. *)
+(** Attach the graph collector, run the replay, slice backward from the
+    fault (or from the final instruction if the replay ended cleanly), and
+    keep the graph. *)
 let run_session ?(fuel = 20_000_000) (proc : Osim.Process.t) : session =
   let st = create proc in
-  let hook = Vm.Cpu.add_post_hook proc.cpu (on_effect st) in
-  let outcome = Vm.Cpu.run ~fuel proc.cpu in
-  Vm.Cpu.remove_hook proc.cpu hook;
+  let outcome = replay st proc.Osim.Process.cpu fuel in
   let fault_pc, roots =
     match outcome with
     | Vm.Cpu.Faulted _ -> fault_deps st
@@ -317,11 +658,17 @@ let run_session ?(fuel = 20_000_000) (proc : Osim.Process.t) : session =
   in
   { graph = st; outcome; backward = backward st ~fault_pc ~roots }
 
+(** {!run_session}, keeping only the backward slice. *)
+let run ?fuel (proc : Osim.Process.t) : result =
+  let s = run_session ?fuel proc in
+  { sl_summary = s.backward; sl_instructions = s.graph.count }
+
 (** Everything influenced by the given input message: the forward slice
-    seeded at that message's receive event. *)
+    seeded at that message's receive events. *)
 let forward_from_message (session : session) ~msg_id : forward =
-  let seeds = ref [] in
-  for s = 0 to session.graph.count - 1 do
-    if session.graph.nodes.(s).n_src_msg = Some msg_id then seeds := s :: !seeds
-  done;
-  forward_from session.graph ~seeds:!seeds
+  let seeds =
+    List.filter_map
+      (fun (s, m) -> if m = msg_id then Some s else None)
+      session.graph.recvs
+  in
+  forward_from session.graph ~seeds

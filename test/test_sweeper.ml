@@ -290,6 +290,42 @@ let test_slice_includes_data_chain () =
   check_bool "several sites in slice" true
     (O.Int_set.cardinal s.Sweeper.Slice.s_pcs > 3)
 
+let test_slice_stack_exhaustion () =
+  (* [f]'s frame is larger than the whole 64 KiB stack, so the prologue's
+     [sub sp, frame] moves SP off the stack and the first call in [f]
+     faults on its return-address store. The faulting [Call] depends on
+     SP, so the slice must reach back to the [sub] that moved it. *)
+  let src =
+    {|
+    int g() { return 1; }
+    int f() {
+      char big[70000];
+      g();
+      return big[0];
+    }
+    int main() { return f(); }
+  |}
+  in
+  let proc =
+    Osim.Process.load ~aslr:false ~seed:1 (Minic.Driver.compile_app ~name:"t" src)
+  in
+  let s = (Sweeper.Slice.run proc).Sweeper.Slice.sl_summary in
+  let code = proc.Osim.Process.cpu.Vm.Cpu.code in
+  (match Vm.Program.fetch code s.Sweeper.Slice.s_fault_pc with
+  | Some (Vm.Isa.Call _) -> ()
+  | _ -> Alcotest.fail "expected the fault at a call");
+  let prologue = ref None in
+  Vm.Program.iteri
+    (fun pc i ->
+      match i with
+      | Vm.Isa.Bin (Vm.Isa.Sub, Vm.Isa.SP, Vm.Isa.Imm n) when n >= 70000 ->
+        prologue := Some pc
+      | _ -> ())
+    code;
+  match !prologue with
+  | Some pc -> check_bool "prologue sub sp in slice" true (Sweeper.Slice.verifies s pc)
+  | None -> Alcotest.fail "could not locate f's prologue"
+
 let test_slice_message_attribution () =
   let r, _, _ = analyzed "apache1" in
   let msgs = r.O.a_slice.Sweeper.Slice.s_msgs in
@@ -899,6 +935,8 @@ let () =
           Alcotest.test_case "verifies all apps" `Quick test_slice_verifies_all_apps;
           Alcotest.test_case "excludes unrelated" `Quick test_slice_excludes_unrelated;
           Alcotest.test_case "includes data chain" `Quick test_slice_includes_data_chain;
+          Alcotest.test_case "stack exhaustion reaches the prologue" `Quick
+            test_slice_stack_exhaustion;
           Alcotest.test_case "message attribution" `Quick test_slice_message_attribution;
         ] );
       ( "signature",
