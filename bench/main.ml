@@ -99,8 +99,9 @@ let table3 () =
     apps;
   Printf.printf
     "(wall-clock of this harness; core-dump << the replay stages and \
-     first-VSEF << total are the reproduced shape; the paper's slicing >> \
-     membug is not, since slicing is fused — see EXPERIMENTS.md)\n"
+     first-VSEF << total are the reproduced shape; slicing leads, but by \
+     less than in the paper, since every replay stage is fused — see \
+     EXPERIMENTS.md)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4: normal-execution overhead vs checkpoint interval          *)
@@ -1436,6 +1437,10 @@ let micro_taint () =
     replay_ns_per_instr trials mk Sweeper.Slice.run (fun r ->
         r.Sweeper.Slice.sl_instructions)
   in
+  let membug, _ =
+    replay_ns_per_instr trials mk Sweeper.Membug.run (fun r ->
+        r.Sweeper.Membug.m_instructions)
+  in
   (* Cross-check: both taint engines must agree on the replay. *)
   let r1 = Sweeper.Taint.run (mk ()) in
   let r2 = Sweeper.Taint.Oracle.run (mk ()) in
@@ -1450,7 +1455,8 @@ let micro_taint () =
   Printf.printf "taint, per-byte oracle engine   : %8.1f ns/instr (%.1fx)\n"
     oracle (oracle /. fused);
   Printf.printf "backward slice, fused flat graph : %8.1f ns/instr\n" slice;
-  (fused, oracle, slice)
+  Printf.printf "memory-bug detection, fused      : %8.1f ns/instr\n" membug;
+  (fused, oracle, slice, membug)
 
 (* ------------------------------------------------------------------ *)
 (* Static prefilter: hook points pruned by Static_an.Staint and what    *)
@@ -1647,7 +1653,7 @@ let merge_json_file file (fresh : (string * Obs.Json.t) list) =
   close_out oc
 
 let write_bench_json ~uninstr ~block_compiled ~one_pc ~global ~obs_on ~flight
-    ~pages_per_ck ~cks ~tiers ~taint_fused ~taint_oracle ~slice_ns
+    ~pages_per_ck ~cks ~tiers ~taint_fused ~taint_oracle ~slice_ns ~membug_ns
     ~static_rows ~absint_rows ~absint_guarded ~absint_elided ~table3 =
   let f x = Obs.Json.Float x in
   let tier_obj (b, fa, sl, n) =
@@ -1676,6 +1682,7 @@ let write_bench_json ~uninstr ~block_compiled ~one_pc ~global ~obs_on ~flight
       ("ns_per_instr_taint_oracle", f taint_oracle);
       ("taint_speedup_x", f (taint_oracle /. taint_fused));
       ("ns_per_instr_slice_analysis", f slice_ns);
+      ("ns_per_instr_membug_analysis", f membug_ns);
       ("pages_copied_per_checkpoint", f pages_per_ck);
       ("checkpoints", Obs.Json.Int cks);
       ( "tier_counters",
@@ -1765,13 +1772,13 @@ let micro () =
         tiers ) =
     micro_vm ()
   in
-  let taint_fused, taint_oracle, slice_ns = micro_taint () in
+  let taint_fused, taint_oracle, slice_ns, membug_ns = micro_taint () in
   let static_rows = micro_static () in
   let absint_rows, absint_guarded, absint_elided = micro_absint () in
   if !json_output then begin
     let table3 = table3_stage_rows () in
     write_bench_json ~uninstr ~block_compiled ~one_pc ~global ~obs_on ~flight
-      ~pages_per_ck ~cks ~tiers ~taint_fused ~taint_oracle ~slice_ns
+      ~pages_per_ck ~cks ~tiers ~taint_fused ~taint_oracle ~slice_ns ~membug_ns
       ~static_rows ~absint_rows ~absint_guarded ~absint_elided ~table3
   end;
   section_header "Microbenchmarks (Bechamel)";

@@ -372,54 +372,11 @@ let rec fused_seg st cpu s fuel =
       fused_seg st cpu s (fuel - 1)
     end
 
-(* The driver around [fused_seg], with {!Vm.Cpu.run}'s outcome and fuel
-   semantics: one fuel unit per instruction, faults counted on the CPU. *)
-let fused_run st cpu fuel =
-  let segs = cpu.Vm.Cpu.code.Vm.Program.segments in
-  let rec go n =
-    if cpu.Vm.Cpu.halted then Vm.Cpu.Halted
-    else if n <= 0 then Vm.Cpu.Out_of_fuel
-    else dispatch n cpu.Vm.Cpu.pc 0
-  and dispatch n pc i =
-    if i >= Array.length segs then begin
-      slow cpu (* unmapped pc: faults there *)
-      ; go (n - 1)
-    end
-    else
-      let s = Array.unsafe_get segs i in
-      if pc >= s.Vm.Program.seg_base && pc < s.Vm.Program.seg_limit then begin
-        let n' = fused_seg st cpu s n in
-        if n' = n then begin
-          slow cpu;
-          go (n' - 1)
-        end
-        else go n'
-      end
-      else dispatch n pc (i + 1)
-  in
-  try go fuel with
-  | Vm.Event.Fault f ->
-    cpu.Vm.Cpu.fault_count <- cpu.Vm.Cpu.fault_count + 1;
-    Vm.Cpu.Faulted f
-  | Vm.Event.Blocked -> Vm.Cpu.Blocked
-
-(* Replay with the recorder attached: the fused loop when nothing else
+(* Replay with the recorder attached: [fused_seg] when nothing else
    listens, the generic hooked interpreter otherwise (so foreign hooks keep
-   firing). As in {!Taint.run}, the fused loop's [exec_fast] work is
-   charged to [fast_retired], keeping the retirement audit exact. *)
+   firing). *)
 let replay st cpu fuel =
-  let hook = Vm.Cpu.add_post_hook cpu (on_effect st) in
-  Fun.protect ~finally:(fun () -> Vm.Cpu.remove_hook cpu hook) (fun () ->
-      if Vm.Cpu.global_hook_count cpu = 1 && Vm.Cpu.pc_hook_count cpu = 0 then begin
-        let before = cpu.Vm.Cpu.icount and slow0 = cpu.Vm.Cpu.slow_retired in
-        let o = fused_run st cpu fuel in
-        cpu.Vm.Cpu.fast_retired <-
-          cpu.Vm.Cpu.fast_retired
-          + (cpu.Vm.Cpu.icount - before)
-          - (cpu.Vm.Cpu.slow_retired - slow0);
-        o
-      end
-      else Vm.Cpu.run ~fuel cpu)
+  Vm.Cpu.run_fused ~fuel cpu ~hook:(on_effect st) (fun _ s n -> fused_seg st cpu s n)
 
 (* Dependences of the *faulting* instruction, which never became a node
    because the fault pre-empted execution. Reconstructed from the machine

@@ -838,39 +838,6 @@ let rec fused_seg st cpu s mask plan ret fuel =
       fused_seg st cpu s mask plan ret (fuel - 1)
     end
 
-let fused_run st cpu fuel =
-  let segs = cpu.Vm.Cpu.code.Vm.Program.segments in
-  let rec go n =
-    if cpu.Vm.Cpu.halted then Vm.Cpu.Halted
-    else if n <= 0 then Vm.Cpu.Out_of_fuel
-    else dispatch n cpu.Vm.Cpu.pc 0
-  and dispatch n pc i =
-    if i >= Array.length segs then begin
-      slow cpu (* unmapped pc: faults there *)
-      ; go (n - 1)
-    end
-    else
-      let s = Array.unsafe_get segs i in
-      if pc >= s.Vm.Program.seg_base && pc < s.Vm.Program.seg_limit then begin
-        let n' =
-          fused_seg st cpu s
-            (Array.unsafe_get st.prop_mask i)
-            (Array.unsafe_get st.plans i)
-            (Array.unsafe_get st.trip_ret i)
-            n
-        in
-        if n' = n then begin
-          slow cpu;
-          go (n' - 1)
-        end
-        else go n'
-      end
-      else dispatch n pc (i + 1)
-  in
-  try go fuel with
-  | Vm.Event.Fault f -> Vm.Cpu.Faulted f
-  | Vm.Event.Blocked -> Vm.Cpu.Blocked
-
 let check_static (static : Static_an.Staint.t) cpu =
   if not (Static_an.Staint.matches static cpu.Vm.Cpu.code) then
     invalid_arg "Taint: static analysis is for a different program"
@@ -890,24 +857,14 @@ let run ?(fuel = 20_000_000) ?static (proc : Osim.Process.t) : result =
   | None -> ());
   let st = create ?static proc in
   let before = cpu.Vm.Cpu.icount in
-  let hook = Vm.Cpu.add_post_hook cpu (on_effect st) in
   let outcome =
-    if Vm.Cpu.global_hook_count cpu = 1 && Vm.Cpu.pc_hook_count cpu = 0 then begin
-      let slow0 = cpu.Vm.Cpu.slow_retired in
-      let o = fused_run st cpu fuel in
-      (* Instructions the fused loop ran through [exec_fast] retire outside
-         the interpreter's dispatch, so account them as fast-path work here
-         (everything this window executed minus what [slow] stepped) to
-         keep fast + slow equal to the instructions actually executed. *)
-      cpu.Vm.Cpu.fast_retired <-
-        cpu.Vm.Cpu.fast_retired
-        + (cpu.Vm.Cpu.icount - before)
-        - (cpu.Vm.Cpu.slow_retired - slow0);
-      o
-    end
-    else Vm.Cpu.run ~fuel cpu
+    Vm.Cpu.run_fused ~fuel cpu ~hook:(on_effect st) (fun i s n ->
+        fused_seg st cpu s
+          (Array.unsafe_get st.prop_mask i)
+          (Array.unsafe_get st.plans i)
+          (Array.unsafe_get st.trip_ret i)
+          n)
   in
-  Vm.Cpu.remove_hook cpu hook;
   {
     t_verdict = classify_fault st outcome;
     t_prop_pcs = prop_pcs_list st;
@@ -972,9 +929,13 @@ let run_pruned ?(fuel = 20_000_000) ~static (proc : Osim.Process.t) : result =
   let ret_hooks =
     List.rev_map (fun pc -> Vm.Cpu.add_pc_post_hook cpu ~pc trip) ret_pcs
   in
-  let outcome = Vm.Cpu.run ~fuel cpu in
-  List.iter (Vm.Cpu.remove_hook cpu) !track_hooks;
-  List.iter (Vm.Cpu.remove_hook cpu) ret_hooks;
+  let outcome =
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter (Vm.Cpu.remove_hook cpu) !track_hooks;
+        List.iter (Vm.Cpu.remove_hook cpu) ret_hooks)
+      (fun () -> Vm.Cpu.run ~fuel cpu)
+  in
   {
     t_verdict = classify_fault st outcome;
     t_prop_pcs = prop_pcs_list st;
@@ -1179,8 +1140,10 @@ module Oracle = struct
     let st = create proc in
     let before = proc.Osim.Process.cpu.Vm.Cpu.icount in
     let hook = Vm.Cpu.add_post_hook proc.cpu (on_effect st) in
-    let outcome = Vm.Cpu.run ~fuel proc.cpu in
-    Vm.Cpu.remove_hook proc.cpu hook;
+    let outcome =
+      Fun.protect ~finally:(fun () -> Vm.Cpu.remove_hook proc.cpu hook)
+        (fun () -> Vm.Cpu.run ~fuel proc.cpu)
+    in
     {
       t_verdict = classify_fault st outcome;
       t_prop_pcs = Int_set.elements st.prop_pcs;

@@ -906,63 +906,34 @@ let rec tier_run cpu s mask bt entry n =
         end
         else n (* declined (before any state change): slow path re-runs *)
 
-(** Run until halt, fault, block, or [fuel] instructions. Fault state is
-    preserved (pc stays at the faulting instruction) so the core-dump
-    analyzer can inspect it. Unhooked instructions execute on the
-    uninstrumented fast path; observable semantics are identical to
-    stepping with {!step}. *)
-let run ?(fuel = max_int) cpu =
+(* The segment-dispatch driver every run loop shares. Whenever the pc lies
+   in segment [i], [burst i s n] runs a burst of instructions pinned to
+   [s] and returns the remaining fuel — unchanged iff it made no progress,
+   in which case the instruction takes the instrumented [step] (which
+   advances, faults, or blocks), so every trip round the loop makes
+   progress. A pc outside every segment also takes [step], which faults
+   there. The exception handler lives outside the loop; [go]/[dispatch]
+   stay tail-recursive (they carry no handler of their own). *)
+let drive cpu fuel burst =
   let segs = cpu.code.Program.segments in
-  (* The exception handler lives outside the loop; [go]/[dispatch] stay
-     tail-recursive (they carry no handler of their own). [dispatch]
-     always makes progress before looping back to [go]: if [fast_run]
-     executed nothing at this pc, the instruction takes the instrumented
-     [step] (which advances, faults, or blocks). *)
   let rec go n =
     if cpu.halted then Halted
     else if n <= 0 then Out_of_fuel
-    else
-      let hs = cpu.hooks in
-      if hs.n_pre_all <> 0 || hs.n_post_all <> 0 then begin
-        ignore (step cpu : Event.effect_);
-        go (n - 1)
-      end
-      else dispatch n cpu.pc 0
+    else dispatch n cpu.pc 0
   and dispatch n pc i =
     if i >= Array.length segs then begin
-      ignore (step cpu : Event.effect_) (* unmapped pc: faults there *)
-      ; go (n - 1)
+      ignore (step cpu : Event.effect_);
+      go (n - 1)
     end
     else
       let s = Array.unsafe_get segs i in
       if pc >= s.Program.seg_base && pc < s.Program.seg_limit then begin
-        match cpu.blocks with
-        | Some bt ->
-          (* Block tier engaged: [tier_run] accounts its own retirement
-             (block-batched and per-single), so no batch charge here. *)
-          let n' =
-            tier_run cpu s
-              (Array.unsafe_get cpu.pc_hook_mask i)
-              bt
-              (Array.unsafe_get bt.bt_entry i)
-              n
-          in
-          if n' = n then begin
-            ignore (step cpu : Event.effect_);
-            go (n' - 1)
-          end
-          else go n'
-        | None ->
-          let n' = fast_run cpu s (Array.unsafe_get cpu.pc_hook_mask i) n in
-          if n' = n then begin
-            ignore (step cpu : Event.effect_);
-            go (n' - 1)
-          end
-          else begin
-            (* batch-account the whole fast burst at its exit *)
-            cpu.fast_retired <- cpu.fast_retired + (n - n');
-            go n'
-          end
+        let n' = burst i s n in
+        if n' = n then begin
+          ignore (step cpu : Event.effect_);
+          go (n' - 1)
+        end
+        else go n'
       end
       else dispatch n pc (i + 1)
   in
@@ -971,6 +942,56 @@ let run ?(fuel = max_int) cpu =
     cpu.fault_count <- cpu.fault_count + 1;
     Faulted f
   | Event.Blocked -> Blocked
+
+(** Run until halt, fault, block, or [fuel] instructions. Fault state is
+    preserved (pc stays at the faulting instruction) so the core-dump
+    analyzer can inspect it. Unhooked instructions execute on the
+    uninstrumented fast path; observable semantics are identical to
+    stepping with {!step}. *)
+let run ?(fuel = max_int) cpu =
+  drive cpu fuel (fun i s n ->
+      let hs = cpu.hooks in
+      if hs.n_pre_all <> 0 || hs.n_post_all <> 0 then n (* every pc is hooked *)
+      else
+        match cpu.blocks with
+        | Some bt ->
+          (* Block tier engaged: [tier_run] accounts its own retirement
+             (block-batched and per-single), so no batch charge here. *)
+          tier_run cpu s
+            (Array.unsafe_get cpu.pc_hook_mask i)
+            bt
+            (Array.unsafe_get bt.bt_entry i)
+            n
+        | None ->
+          let n' = fast_run cpu s (Array.unsafe_get cpu.pc_hook_mask i) n in
+          (* batch-account the whole fast burst at its exit *)
+          cpu.fast_retired <- cpu.fast_retired + (n - n');
+          n')
+
+(** Replay with one analysis attached: [hook] is installed as a global
+    post-hook for the duration and removed on every exit, exceptions
+    included. When it is then the only instrumentation, the replay runs
+    on {!drive} with the analysis's own [burst] — a segment-pinned loop
+    over {!exec_fast} that updates its state alongside, and on a decline
+    runs the instruction through {!step} so [hook] sees it. The bursts'
+    work is charged to [fast_retired] (everything executed minus what
+    was stepped), keeping the retirement audit exact. With foreign hooks
+    attached it falls back to {!run}, where [hook] sees every
+    instruction and the foreign hooks keep firing. *)
+let run_fused ?(fuel = max_int) cpu ~hook burst =
+  let id = add_post_hook cpu hook in
+  Fun.protect ~finally:(fun () -> remove_hook cpu id) (fun () ->
+      let hs = cpu.hooks in
+      if
+        hs.n_pre_all + hs.n_post_all = 1 && hs.n_pre_at = 0 && hs.n_post_at = 0
+      then begin
+        let before = cpu.icount and slow0 = cpu.slow_retired in
+        let o = drive cpu fuel burst in
+        cpu.fast_retired <-
+          cpu.fast_retired + (cpu.icount - before) - (cpu.slow_retired - slow0);
+        o
+      end
+      else run ~fuel cpu)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot/restore of CPU register state (memory snapshots live in     *)

@@ -105,9 +105,9 @@ val pc_hook_count : t -> int
 
 val global_hook_count : t -> int
 (** Every-instruction hooks (pre and post) currently installed. Analyses
-    that fuse their instrumentation into a private run loop (see
-    {!Sweeper.Taint.run}) use this to verify nobody else is listening
-    before bypassing the generic hook dispatch. *)
+    that fuse their instrumentation into a private run loop check this
+    (through {!run_fused}) to verify nobody else is listening before
+    bypassing the generic hook dispatch. *)
 
 val fetch : t -> int -> Isa.instr
 (** The instruction at an address; raises [Event.Fault (Exec_violation _)]
@@ -144,6 +144,25 @@ val run : ?fuel:int -> t -> outcome
     exact in every tier: a block is entered only when the remaining fuel
     covers its whole body (block-entry fuel clamping), so [Out_of_fuel]
     lands on the same icount as per-instruction execution. *)
+
+val run_fused :
+  ?fuel:int -> t -> hook:hook -> (int -> Program.segment -> int -> int) ->
+  outcome
+(** [run_fused ~fuel cpu ~hook burst] replays with one heavyweight
+    analysis attached, with {!run}'s outcome, fuel and fault-count
+    semantics. [hook] (the analysis's effect-record recorder) is installed
+    as a global post-hook for the duration and removed on every exit,
+    exceptions included. When it is then the only instrumentation, the
+    analysis's own loop drives execution: [burst i s n] is called
+    whenever the pc lies in [s] (segment [i] of [code]) with [n] fuel
+    left, once per burst rather than per instruction. It executes
+    instructions of [s] through {!exec_fast}, updating the analysis state
+    alongside, sends any instruction [exec_fast] declines through {!step}
+    (where [hook] sees it), and returns the remaining fuel at one unit per
+    instruction — unchanged iff it made no progress, in which case the
+    driver steps the instruction itself. The bursts' work is charged to
+    [fast_retired]. With any other hook installed it falls back to {!run},
+    so [hook] sees every instruction and the foreign hooks keep firing. *)
 
 (** {2 Block-superinstruction tier (tier 3)} *)
 

@@ -51,6 +51,7 @@ require ns_per_instr_taint_analysis
 require ns_per_instr_taint_oracle
 require taint_speedup_x
 require ns_per_instr_slice_analysis
+require ns_per_instr_membug_analysis
 # Checkpointing.
 require pages_copied_per_checkpoint
 require checkpoints

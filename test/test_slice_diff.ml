@@ -17,7 +17,6 @@ open Diff_recipes
 module S = Sweeper.Slice
 
 let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
 
 (* Everything observable about one replay, in comparable form. *)
 type observed = {
@@ -34,44 +33,8 @@ let flat_summary (s : S.summary) =
     S.Int_set.elements s.S.s_msgs,
     s.S.s_fault_pc )
 
-(* The tier audit over one replay: the retirement counters' growth must
-   equal the instructions it executed. (Deltas, because a rollback rewinds
-   [icount] but never the monotonic retirement counters.) *)
-let audited f (proc : Osim.Process.t) =
-  let c = proc.Osim.Process.cpu in
-  let b0 = c.Vm.Cpu.block_retired
-  and f0 = c.Vm.Cpu.fast_retired
-  and s0 = c.Vm.Cpu.slow_retired
-  and i0 = c.Vm.Cpu.icount in
-  let r = f proc in
-  check_int "block + fast + slow retired == executed"
-    (c.Vm.Cpu.icount - i0)
-    (c.Vm.Cpu.block_retired - b0
-    + (c.Vm.Cpu.fast_retired - f0)
-    + (c.Vm.Cpu.slow_retired - s0));
-  check_bool "the fused loop retired instructions" true
-    (c.Vm.Cpu.fast_retired - f0 > 0);
-  r
-
-(* A no-op global post-hook: the slicer is no longer alone, so it must
-   take the hooked path, where every instruction retires slow. *)
-let hooked f (proc : Osim.Process.t) =
-  let cpu = proc.Osim.Process.cpu in
-  let i0 = cpu.Vm.Cpu.icount and s0 = cpu.Vm.Cpu.slow_retired in
-  let h = Vm.Cpu.add_post_hook cpu ignore in
-  let r =
-    Fun.protect ~finally:(fun () -> Vm.Cpu.remove_hook cpu h) (fun () -> f proc)
-  in
-  check_int "hooked replay retires slow"
-    (cpu.Vm.Cpu.icount - i0)
-    (cpu.Vm.Cpu.slow_retired - s0);
-  r
-
-(* [replay.go f] prepares one identical replay state and runs [f] on it.
-   Each path replays twice: once through [run], once through
+(* Each path replays twice: once through [run], once through
    [run_session]. *)
-type replay = { go : 'a. (Osim.Process.t -> 'a) -> 'a }
-
 let observe ~fused ~msgs replay =
   let wrap f = if fused then audited f else hooked f in
   let r = replay.go (wrap (fun p -> S.run p)) in
@@ -123,33 +86,11 @@ let directed r () =
 (* Registry exploits                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Boot the app, serve benign traffic, fire the canonical exploit, and
-   return the analysis context every stage replays from. *)
-let crashed_ctx key =
-  let entry = Apps.Registry.find key in
-  let proc = Osim.Process.load ~aslr:true ~seed:42 (entry.Apps.Registry.r_compile ()) in
-  let server = Osim.Server.create proc in
-  ignore (Osim.Server.run server);
-  List.iter
-    (fun m -> ignore (Osim.Server.handle server m))
-    (Apps.Registry.workload key 10);
-  let exploit = Apps.Registry.exploit ~system_guess:0x12345678 ~cmd_ptr:0 key in
-  let fault = ref None in
-  List.iter
-    (fun m ->
-      match Osim.Server.handle server m with
-      | `Crashed (_, f) when !fault = None -> fault := Some f
-      | _ -> ())
-    exploit.Apps.Exploits.x_messages;
-  match !fault with
-  | Some f -> Sweeper.Stage.init ~app:key server f
-  | None -> Alcotest.fail (key ^ ": exploit did not crash")
-
 let exploit_agrees key () =
   let cx = crashed_ctx key in
   let a, agree =
     paths_agree ~msgs:cx.Sweeper.Stage.cx_suspects
-      { go = (fun f -> Sweeper.Stage.Replay.analyze cx f) }
+      (exploit_replay cx)
   in
   check_bool "paths agree" true agree;
   (match a.o_outcome with
