@@ -167,12 +167,9 @@ let start_unit =
       Vm.Asm.Ins Vm.Isa.Halt;
     ]
 
-(** Load a compiled application and the C library into a fresh process.
-
-    @param aslr randomize library/heap/stack bases (default true)
-    @param seed PRNG seed: drives both layout randomization and the
-    process's [random] syscall, making whole experiments reproducible. *)
-let load ?(aslr = true) ?(seed = 0) (app : Minic.Codegen.compiled) =
+(* The full load pipeline; also returns the compiled block table, which
+   a template keeps to share with its instances. *)
+let load_with_blocks ~aslr ~seed (app : Minic.Codegen.compiled) =
   let rng = Random.State.make [| seed; 0x511EE9 |] in
   let layout =
     Vm.Layout.create ~aslr ~rand:(fun bits -> Random.State.int rng (1 lsl bits)) ()
@@ -218,22 +215,27 @@ let load ?(aslr = true) ?(seed = 0) (app : Minic.Codegen.compiled) =
   let code = Vm.Program.merge [ lib_image.Vm.Asm.code; app_image.Vm.Asm.code ] in
   let cpu = Vm.Cpu.create ~mem ~layout ~code in
   let entry = Vm.Asm.symbol app_image "_start" in
+  (* One CFG recovery per load, shared by the two consumers below. *)
+  let cfg = Static_an.Cfg.build code in
   (* Interval abstract interpretation over the whole code store, seeded
      at the process entry point with the initial stack pointer. Its
      proven-safe access facts drive bounds-check elision in the block
      tier below and static antibody feasibility checks later. *)
   let absint =
     Static_an.Absint.analyze ~entries:[ entry ]
-      ~init_sp:(layout.Vm.Layout.stack_top - 16) ~layout code
+      ~init_sp:(layout.Vm.Layout.stack_top - 16) ~cfg ~layout code
   in
-  (* Engage the block-superinstruction tier: recover the CFG once at
-     load time and compile every basic block. Hooked or invalidated
-     blocks demote themselves to the per-instruction tiers, so this is
-     transparent to every analysis attached later. *)
-  Vm.Block_compile.install
-    ~safe_of:(Static_an.Absint.safe_range absint)
-    cpu
-    (Static_an.Cfg.block_bounds (Static_an.Cfg.build code));
+  (* Engage the block-superinstruction tier: compile every basic block.
+     Hooked or invalidated blocks demote themselves to the
+     per-instruction tiers, so this is transparent to every analysis
+     attached later. *)
+  let blocks =
+    Vm.Block_compile.compile_all
+      ~safe_of:(Static_an.Absint.safe_range absint)
+      code
+      (Static_an.Cfg.block_bounds cfg)
+  in
+  Vm.Cpu.install_blocks cpu blocks;
   cpu.Vm.Cpu.pc <- entry;
   Vm.Cpu.set_reg cpu Vm.Isa.SP (layout.Vm.Layout.stack_top - 16);
   let p =
@@ -264,15 +266,24 @@ let load ?(aslr = true) ?(seed = 0) (app : Minic.Codegen.compiled) =
     }
   in
   cpu.Vm.Cpu.sys_handler <- (fun cpu eff n -> handle_syscall p cpu eff n);
-  p
+  (p, blocks)
+
+(** Load a compiled application and the C library into a fresh process.
+
+    @param aslr randomize library/heap/stack bases (default true)
+    @param seed PRNG seed: drives both layout randomization and the
+    process's [random] syscall, making whole experiments reproducible. *)
+let load ?(aslr = true) ?(seed = 0) app =
+  fst (load_with_blocks ~aslr ~seed app)
 
 (** A loaded-but-never-run master copy of a process, for stamping out
     identical hosts without re-linking. {!load} is dominated by placement,
     assembly/linking of both images, CFG recovery, and basic-block
     compilation — all of it identical for every host sharing a layout
     seed. A template runs that pipeline once; {!instantiate} then clones
-    the address space copy-on-write and rebinds a fresh CPU, so per-host
-    cost drops to O(mapped pages) pointer copies plus block re-install.
+    the address space copy-on-write and rebinds a fresh CPU to the
+    template's compiled blocks, so per-host cost drops to O(mapped pages)
+    pointer copies.
 
     The template's own process must never execute (its memory is the
     shared baseline every clone COWs against), which is why the type is
@@ -280,37 +291,33 @@ let load ?(aslr = true) ?(seed = 0) (app : Minic.Codegen.compiled) =
 type template = {
   tpl_proc : t;
   tpl_regs : Vm.Cpu.reg_snapshot;
-  tpl_bounds : (int * int) array;  (** CFG block bounds, computed once *)
+  tpl_blocks : Vm.Cpu.compiled_blocks;
+      (** compiled once, shared read-only by every instance *)
 }
 
-(** Build a template: one full {!load} plus one CFG recovery. *)
+(** Build a template: one full {!load}. *)
 let template ?(aslr = true) ?(seed = 0) compiled =
-  let p = load ~aslr ~seed compiled in
-  {
-    tpl_proc = p;
-    tpl_regs = Vm.Cpu.snapshot_regs p.cpu;
-    tpl_bounds =
-      Static_an.Cfg.block_bounds (Static_an.Cfg.build p.cpu.Vm.Cpu.code);
-  }
+  let p, blocks = load_with_blocks ~aslr ~seed compiled in
+  { tpl_proc = p; tpl_regs = Vm.Cpu.snapshot_regs p.cpu; tpl_blocks = blocks }
 
 (** Instantiate a fresh process from a template. Behaviourally identical
     to [load ~aslr ~seed compiled] with the template's parameters: the
     address space is a COW clone, the register file (including [icount])
     is restored from the post-load snapshot, the PRNG state is a copy of
-    the post-load state (layout draws already consumed), and the basic
-    blocks are recompiled from the cached bounds against the new CPU.
+    the post-load state (layout draws already consumed), and the new CPU
+    installs the template's compiled blocks with fresh per-CPU block
+    state, so hooks and demotions on one instance never reach another.
     Clones share the template's layout (one ASLR draw per template — use a
     pool of templates over distinct seeds to keep population diversity)
-    and share its images, code, and symbol tables read-only. *)
+    and share its images, code, compiled blocks, and symbol tables
+    read-only. *)
 let instantiate tpl =
   let src = tpl.tpl_proc in
   let mem = Vm.Memory.clone src.mem in
   let layout = Vm.Layout.copy src.layout in
   let cpu = Vm.Cpu.create ~mem ~layout ~code:src.cpu.Vm.Cpu.code in
   Vm.Cpu.restore_regs cpu tpl.tpl_regs;
-  Vm.Block_compile.install
-    ~safe_of:(Static_an.Absint.safe_range src.absint)
-    cpu tpl.tpl_bounds;
+  Vm.Cpu.install_blocks cpu tpl.tpl_blocks;
   let p =
     {
       cpu;

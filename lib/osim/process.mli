@@ -56,7 +56,8 @@ val load : ?aslr:bool -> ?seed:int -> Minic.Codegen.compiled -> t
 type template
 (** A loaded-but-never-run master copy: the full load pipeline (placement,
     linking, CFG recovery, block compilation) executed once, held as the
-    shared copy-on-write baseline for {!instantiate}. *)
+    shared copy-on-write baseline and shared compiled blocks for
+    {!instantiate}. *)
 
 val template : ?aslr:bool -> ?seed:int -> Minic.Codegen.compiled -> template
 
@@ -64,9 +65,11 @@ val instantiate : template -> t
 (** Stamp out a process behaviourally identical to
     [load ~aslr ~seed compiled] with the template's parameters, at
     O(mapped pages) cost: COW memory clone, register/PRNG state restored
-    from the post-load snapshot, basic blocks recompiled from cached
-    bounds. All clones of one template share a single layout (ASLR)
-    draw — pool templates over distinct seeds for population diversity. *)
+    from the post-load snapshot, and the template's compiled basic blocks
+    installed with fresh per-CPU block state (hooks, invalidations and
+    elision trips stay per instance). All clones of one template share a
+    single layout (ASLR) draw — pool templates over distinct seeds for
+    population diversity. *)
 
 val run : ?fuel:int -> t -> Vm.Cpu.outcome
 (** Run until halt, input-block, fault, or fuel exhaustion. *)

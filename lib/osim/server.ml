@@ -85,7 +85,9 @@ let register_metrics t registry =
   gauge "sweeper_vm_block_instructions"
     "instructions retired inside block superinstructions" (fun () ->
       cpu.Vm.Cpu.block_retired);
-  gauge "sweeper_vm_blocks_compiled" "basic blocks compiled for tier 3"
+  gauge "sweeper_vm_blocks_compiled"
+    "tier-3 basic blocks installed (compiled once per template, shared by \
+     its instances)"
     (fun () -> Vm.Cpu.block_count cpu);
   gauge "sweeper_vm_faults" "machine faults surfaced" (fun () ->
       cpu.Vm.Cpu.fault_count);

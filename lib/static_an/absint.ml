@@ -167,9 +167,9 @@ type t = {
   ab_ms : float;
 }
 
-let analyze ?entries ?init_sp ~(layout : Vm.Layout.t) (prog : P.t) =
+let analyze ?entries ?init_sp ?cfg ~(layout : Vm.Layout.t) (prog : P.t) =
   let t0 = Sys.time () in
-  let cfg = Cfg.build prog in
+  let cfg = match cfg with Some c -> c | None -> Cfg.build prog in
   let blocks = Cfg.blocks cfg in
   let nb = Array.length blocks in
   let sink = Cfg.unknown cfg in

@@ -52,12 +52,20 @@ type cls =
 type t
 
 val analyze :
-  ?entries:int list -> ?init_sp:int -> layout:Vm.Layout.t -> Vm.Program.t -> t
+  ?entries:int list ->
+  ?init_sp:int ->
+  ?cfg:Cfg.t ->
+  layout:Vm.Layout.t ->
+  Vm.Program.t ->
+  t
 (** Analyze a decoded program. [entries] are the boundary pcs execution
     may start from (default: every segment base); [init_sp] pins the
     stack pointer's entry value (the loader's [stack_top - 16]) — left
     out, [SP] starts unconstrained and nothing stack-relative is ever
-    proven. *)
+    proven. [cfg] must be {!Cfg.build} of the same program: a caller
+    that needs the CFG anyway (the loader feeds its block bounds to
+    block compilation) builds it once and passes it here; left out, the
+    analysis builds its own. The result does not keep it. *)
 
 val program : t -> Vm.Program.t
 
@@ -113,4 +121,5 @@ val proven_pct : t -> float
     (dead accesses never pay a guard); 0 when nothing is reachable. *)
 
 val analysis_ms : t -> float
-(** Analysis wall time, milliseconds. *)
+(** Analysis wall time, milliseconds; it includes the CFG build only
+    when {!analyze} built the CFG itself. *)

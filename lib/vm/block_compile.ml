@@ -471,12 +471,16 @@ let compile ?(safe_of = fun (_ : int) -> None) (code : Program.t) ~entry_pc
     in
     build (len - 1) fin
 
-(** Compile and install every block of [bounds] — [(entry_pc, length)]
-    pairs, typically [Static_an.Cfg.block_bounds] — into the CPU's block
-    table, engaging the tier for all subsequent {!Cpu.run} calls. *)
-let install ?safe_of cpu (bounds : (int * int) array) =
-  let code = cpu.Cpu.code in
-  Cpu.install_blocks cpu
+(** Compile every block of [bounds] — [(entry_pc, length)] pairs,
+    typically [Static_an.Cfg.block_bounds] — into the shareable block
+    table of [code]. *)
+let compile_all ?safe_of (code : Program.t) (bounds : (int * int) array) =
+  Cpu.index_blocks code
     (Array.map
        (fun (entry_pc, len) -> (entry_pc, len, compile ?safe_of code ~entry_pc ~len))
        bounds)
+
+(** Compile [bounds] against the CPU's own program and install the table,
+    engaging the tier for all subsequent {!Cpu.run} calls. *)
+let install ?safe_of cpu bounds =
+  Cpu.install_blocks cpu (compile_all ?safe_of cpu.Cpu.code bounds)

@@ -41,10 +41,20 @@ val compile :
     memory guard of the access at [pc] down to a range check against
     the constant region [\[lo, hi)]. *)
 
+val compile_all :
+  ?safe_of:(int -> (int * int) option) ->
+  Program.t ->
+  (int * int) array ->
+  Cpu.compiled_blocks
+(** [compile_all code bounds] compiles each [(entry_pc, length)] pair —
+    typically [Static_an.Cfg.block_bounds] of [code] — into the compiled
+    part of a block table. Built once per code image, it is shared by
+    every CPU over that image through {!Cpu.install_blocks}: the closures
+    take the CPU as an argument and capture nothing per-CPU. *)
+
 val install :
   ?safe_of:(int -> (int * int) option) -> Cpu.t -> (int * int) array -> unit
-(** [install cpu bounds] compiles each [(entry_pc, length)] pair —
-    typically [Static_an.Cfg.block_bounds] of the CPU's program — and
-    installs the resulting table via {!Cpu.install_blocks}, engaging
-    tier 3 for subsequent {!Cpu.run} calls. Blocks overlapping currently
-    hooked pcs stay demoted until the hooks detach. *)
+(** [install cpu bounds] is {!compile_all} of the CPU's own program
+    followed by {!Cpu.install_blocks}, engaging tier 3 for subsequent
+    {!Cpu.run} calls. Blocks overlapping currently hooked pcs stay
+    demoted until the hooks detach. *)

@@ -86,7 +86,12 @@ type t = {
    and invalidation can demote exactly the affected block. A block is
    runnable ([bt_ok]) iff it has not been invalidated ([bt_valid]) and no
    pc inside it carries a per-pc hook ([bt_hooks] = 0) — the whole
-   hook-mask test the compiled body skips, taken once at entry. *)
+   hook-mask test the compiled body skips, taken once at entry.
+
+   The first four fields are the compiled part, built once per code image
+   ({!compiled_blocks}) and shared read-only by every CPU that installs
+   it; the table holds them directly so [tier_run] pays no extra
+   indirection. The last three are this CPU's own state. *)
 and block_table = {
   bt_entry : int array array;
       (** per segment: instruction index -> block id at entry pcs, else -1 *)
@@ -102,6 +107,17 @@ and block_table = {
   bt_hooks : int array;  (** per block: pcs currently on the hook mask *)
   bt_valid : Bytes.t;  (** per block: ['\001'] unless invalidated *)
   bt_ok : Bytes.t;  (** per block: [bt_valid] && [bt_hooks] = 0 *)
+}
+
+(* The shareable half of a block table, for one code image. Never written
+   after {!index_blocks} returns, so CPUs on different domains may install
+   the same value. *)
+type compiled_blocks = {
+  cb_code : Program.t;  (** the image the closures were compiled from *)
+  cb_entry : int array array;
+  cb_cover : int array array;
+  cb_len : int array;
+  cb_fn : (t -> int) array;
 }
 
 type outcome =
@@ -294,48 +310,68 @@ let global_hook_count cpu = cpu.hooks.n_pre_all + cpu.hooks.n_post_all
 (* Block-superinstruction table management (tier 3)                     *)
 (* ------------------------------------------------------------------ *)
 
-(** Install compiled basic blocks: [(entry_pc, length, closure)] triples,
-    normally produced by {!Block_compile.install}. Blocks whose pcs carry
-    hooks at install time start demoted; {!sync_mask} keeps the counts
-    live from then on. Replaces any previously installed table. *)
-let install_blocks cpu (blocks : (int * int * (t -> int)) array) =
-  let segs = cpu.code.Program.segments in
-  let nb = Array.length blocks in
+(** Index compiled basic blocks — [(entry_pc, length, closure)] triples,
+    normally produced by {!Block_compile.compile_all} — into the
+    shareable dispatch tables for [code]. *)
+let index_blocks code (blocks : (int * int * (t -> int)) array) =
+  let segs = code.Program.segments in
+  let per_instr () =
+    Array.map
+      (fun s -> Array.make (Array.length s.Program.seg_instrs) (-1))
+      segs
+  in
+  let cb =
+    {
+      cb_code = code;
+      cb_entry = per_instr ();
+      cb_cover = per_instr ();
+      cb_len = Array.map (fun (_, len, _) -> len) blocks;
+      cb_fn = Array.map (fun (_, _, fn) -> fn) blocks;
+    }
+  in
+  Array.iteri
+    (fun bid (pc, len, _) ->
+      match Program.locate code pc with
+      | None -> invalid_arg "Cpu.index_blocks: entry pc outside code"
+      | Some (si, ii) ->
+        if len <= 0 || ii + len > Array.length segs.(si).Program.seg_instrs
+        then invalid_arg "Cpu.index_blocks: block overruns its segment";
+        cb.cb_entry.(si).(ii) <- bid;
+        Array.fill cb.cb_cover.(si) ii len bid)
+    blocks;
+  cb
+
+(** Install a compiled block table on this CPU, with fresh per-CPU state:
+    every block valid, and blocks whose pcs carry hooks at install time
+    demoted; {!sync_mask} keeps the counts live from then on. Replaces any
+    previously installed table. *)
+let install_blocks cpu cb =
+  if cb.cb_code != cpu.code then
+    invalid_arg "Cpu.install_blocks: blocks compiled for another program";
+  let nb = Array.length cb.cb_len in
   let bt =
     {
-      bt_entry =
-        Array.map
-          (fun s -> Array.make (Array.length s.Program.seg_instrs) (-1))
-          segs;
-      bt_cover =
-        Array.map
-          (fun s -> Array.make (Array.length s.Program.seg_instrs) (-1))
-          segs;
-      bt_len = Array.make nb 0;
-      bt_fn = Array.make nb (fun (_ : t) -> 0);
+      bt_entry = cb.cb_entry;
+      bt_cover = cb.cb_cover;
+      bt_len = cb.cb_len;
+      bt_fn = cb.cb_fn;
       bt_hooks = Array.make nb 0;
       bt_valid = Bytes.make nb '\001';
       bt_ok = Bytes.make nb '\001';
     }
   in
-  Array.iteri
-    (fun bid (pc, len, fn) ->
-      match Program.locate cpu.code pc with
-      | None -> invalid_arg "Cpu.install_blocks: entry pc outside code"
-      | Some (si, ii) ->
-        if len <= 0 || ii + len > Array.length segs.(si).Program.seg_instrs
-        then invalid_arg "Cpu.install_blocks: block overruns its segment";
-        bt.bt_len.(bid) <- len;
-        bt.bt_fn.(bid) <- fn;
-        bt.bt_entry.(si).(ii) <- bid;
-        let mask = cpu.pc_hook_mask.(si) in
-        for k = ii to ii + len - 1 do
-          bt.bt_cover.(si).(k) <- bid;
-          if Bytes.get mask k <> '\000' then
-            bt.bt_hooks.(bid) <- bt.bt_hooks.(bid) + 1
-        done;
-        sync_block_ok bt bid)
-    blocks;
+  if cpu.hooks.n_pre_at + cpu.hooks.n_post_at > 0 then
+    Array.iteri
+      (fun si mask ->
+        Bytes.iteri
+          (fun ii b ->
+            let bid = bt.bt_cover.(si).(ii) in
+            if b <> '\000' && bid >= 0 then begin
+              bt.bt_hooks.(bid) <- bt.bt_hooks.(bid) + 1;
+              sync_block_ok bt bid
+            end)
+          mask)
+      cpu.pc_hook_mask;
   cpu.blocks <- Some bt
 
 let clear_blocks cpu = cpu.blocks <- None

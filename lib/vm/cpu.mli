@@ -23,9 +23,11 @@ type hooks
 type block_table
 (** Dispatch tables for the block-superinstruction tier (tier 3): per
     basic block, a fused closure executing the whole body with one bounds
-    check and one hook-mask/fuel test at entry. Built by
-    {!Block_compile.install}; managed through {!install_blocks},
-    {!clear_blocks}, and {!invalidate_block}. *)
+    check and one hook-mask/fuel test at entry. The closures and their
+    pc index are a {!compiled_blocks} shared by every CPU that installs
+    it; which blocks are runnable (hooked, invalidated) is this CPU's
+    own. Managed through {!install_blocks}, {!clear_blocks}, and
+    {!invalidate_block}. *)
 
 type t = {
   regs : int array;
@@ -166,20 +168,34 @@ val run_fused :
 
 (** {2 Block-superinstruction tier (tier 3)} *)
 
-val install_blocks : t -> (int * int * (t -> int)) array -> unit
-(** Install compiled basic blocks as [(entry_pc, length, closure)]
-    triples — normally via {!Block_compile.install}, which derives the
-    bounds from a CFG and compiles the closures. Blocks containing
-    currently hooked pcs start demoted to the per-instruction tiers;
-    subsequent hook attach/detach keeps the demotion in sync, effective
-    no later than the next block entry. *)
+type compiled_blocks
+(** The compiled part of a block table for one code image: the fused
+    closures and their pc index. Built once per image and never written
+    afterwards, so any number of CPUs over that image — on any domain —
+    can {!install_blocks} the same value. *)
+
+val index_blocks :
+  Program.t -> (int * int * (t -> int)) array -> compiled_blocks
+(** Index compiled basic blocks given as [(entry_pc, length, closure)]
+    triples — normally via {!Block_compile.compile_all}, which derives
+    the bounds from a CFG and compiles the closures. Raises
+    [Invalid_argument] when a block does not lie within one segment. *)
+
+val install_blocks : t -> compiled_blocks -> unit
+(** Engage tier 3 on this CPU with fresh per-CPU block state: every
+    block valid, blocks containing currently hooked pcs demoted to the
+    per-instruction tiers. Subsequent hook attach/detach keeps the
+    demotion in sync, effective no later than the next block entry, and
+    touches only this CPU. Raises [Invalid_argument] unless the blocks
+    were compiled from this CPU's own [code]. *)
 
 val clear_blocks : t -> unit
 (** Remove the block table; execution falls back to the fast/slow tiers. *)
 
 val invalidate_block : t -> pc:int -> unit
-(** Permanently demote the block containing [pc] to per-instruction
-    execution (takes effect no later than the next block entry). *)
+(** Permanently demote, on this CPU only, the block containing [pc] to
+    per-instruction execution (takes effect no later than the next block
+    entry). *)
 
 val elision_trip : t -> pc:int -> unit
 (** The soundness tripwire of bounds-check elision: count a proven-safe

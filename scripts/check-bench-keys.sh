@@ -4,7 +4,8 @@
 # (ns_per_instr_block_compiled and the tier_counters audit objects whose
 # block/fast/slow counts must sum to executed), and BENCH_pipeline.json
 # must carry the scheduler-scaling rows plus the domain-sharded and
-# forensics sections.
+# forensics sections, with the at-scale host-creation cost under its
+# bound.
 # Catches a bench writer that silently drops a key (the
 # merge-don't-clobber writer makes that easy to miss) and a hand-edited
 # file that loses a section. Run from the repository root (or a sandbox
@@ -139,8 +140,20 @@ if ! grep -A2 '"at_scale"' "$file" | grep -qE '"hosts": [0-9]{6,}'; then
   echo "check-bench-keys: $file at_scale row is below 10^5 hosts"
   status=1
 fi
+# Value bound: host creation stays cheap per host at scale. The at-scale
+# row's create_s / hosts must not exceed 0.5 ms. Template instances share
+# the template's compiled blocks; recompiling them per host would cost
+# about 4 ms each at 10^5 hosts.
+at_scale=$(grep '"at_scale"' "$file" || true)
+hosts=$(printf '%s\n' "$at_scale" | sed -n 's/.*"hosts": \([0-9]*\).*/\1/p')
+create_s=$(printf '%s\n' "$at_scale" | sed -n 's/.*"create_s": \([0-9.]*\).*/\1/p')
+if ! awk -v c="${create_s:-x}" -v h="${hosts:-0}" \
+  'BEGIN { exit !(h > 0 && c ~ /^[0-9.]+$/ && c * 1000 / h <= 0.5) }'; then
+  echo "check-bench-keys: $file at_scale create_s / hosts exceeds 0.5 ms (create_s=${create_s:-?}, hosts=${hosts:-?})"
+  status=1
+fi
 
 if [ $status -eq 0 ]; then
-  echo "check-bench-keys: BENCH_vm.json and BENCH_pipeline.json carry the expected key schemas"
+  echo "check-bench-keys: BENCH_vm.json and BENCH_pipeline.json carry the expected key schemas and the host-creation bound"
 fi
 exit $status

@@ -406,6 +406,141 @@ let test_netlog_message_lookup_bounds () =
   Alcotest.check_raises "out of range" (Invalid_argument "Netlog.message")
     (fun () -> ignore (Osim.Netlog.message t 5))
 
+(* ------------------------------------------------------------------ *)
+(* Templates and instances                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Boot a process to its first input block, then feed it [reqs] one at a
+   time, running it to the next block after each. *)
+let boot p =
+  ignore (Osim.Process.run p);
+  p
+
+let serve p reqs =
+  List.iter
+    (fun r ->
+      ignore (Osim.Process.send_message p r);
+      ignore (Osim.Process.run p))
+    reqs
+
+(* Block, fast and slow retirement, then icount. *)
+let tiers p =
+  let c = p.Osim.Process.cpu in
+  Vm.Cpu.[ c.block_retired; c.fast_retired; c.slow_retired; c.icount ]
+
+let check_tiers msg expected p =
+  check Alcotest.(list int) msg (tiers expected) (tiers p)
+
+(* [instantiate] is documented to behave exactly like [load] with the
+   template's parameters: serve the same stream through both and compare
+   everything observable, tier accounting included. *)
+let test_instantiate_matches_load () =
+  List.iter
+    (fun (e : Apps.Registry.entry) ->
+      let compiled = e.r_compile () in
+      let key = e.r_key in
+      let reqs = Apps.Registry.workload ~seed:5 key 50 in
+      let loaded = boot (Osim.Process.load ~aslr:true ~seed:11 compiled) in
+      let inst =
+        boot
+          (Osim.Process.instantiate
+             (Osim.Process.template ~aslr:true ~seed:11 compiled))
+      in
+      serve loaded reqs;
+      serve inst reqs;
+      let cl = loaded.Osim.Process.cpu and ci = inst.Osim.Process.cpu in
+      check Alcotest.(list (pair int string)) (key ^ " outputs")
+        (Osim.Process.committed_outputs loaded)
+        (Osim.Process.committed_outputs inst);
+      check_int (key ^ " served all") 50
+        (List.length (Osim.Process.committed_outputs inst));
+      check Alcotest.(array int) (key ^ " registers") cl.Vm.Cpu.regs
+        ci.Vm.Cpu.regs;
+      check_int (key ^ " pc") cl.Vm.Cpu.pc ci.Vm.Cpu.pc;
+      check_tiers (key ^ " block/fast/slow/icount") loaded inst;
+      check_bool (key ^ " ran on blocks") true (ci.Vm.Cpu.block_retired > 0);
+      check_int (key ^ " mapped pages")
+        (Vm.Memory.mapped_pages loaded.Osim.Process.mem)
+        (Vm.Memory.mapped_pages inst.Osim.Process.mem))
+    Apps.Registry.all
+
+(* Sibling instances share one template's compiled blocks but must keep
+   separate block state: a hook, an invalidation, or an elision trip on
+   one never demotes a block on another. The control is a separately
+   loaded process (its own compiled blocks), so it shows what an
+   undisturbed host retires. *)
+let test_instances_keep_separate_block_state () =
+  let compiled = (Apps.Registry.find "apache1").r_compile () in
+  let tpl = Osim.Process.template ~aslr:false ~seed:3 compiled in
+  let a = boot (Osim.Process.instantiate tpl) in
+  let b = boot (Osim.Process.instantiate tpl) in
+  let ctl = boot (Osim.Process.load ~aslr:false ~seed:3 compiled) in
+  let stream seed = Apps.Registry.workload ~seed "apache1" 20 in
+  let hot = Vm.Asm.symbol a.Osim.Process.lib_image "strlen" in
+  let block_of p = p.Osim.Process.cpu.Vm.Cpu.block_retired in
+  (* A pc hook inside a hot block demotes that block on A only. *)
+  let fired = ref 0 in
+  let id =
+    Vm.Cpu.add_pc_hook a.Osim.Process.cpu ~pc:hot (fun _ -> incr fired)
+  in
+  let c = boot (Osim.Process.instantiate tpl) in
+  let reqs = stream 1 in
+  List.iter (fun p -> serve p reqs) [ a; b; c; ctl ];
+  check_bool "hooked block is hot" true (!fired > 0);
+  check_int "A executes the same stream" ctl.Osim.Process.cpu.Vm.Cpu.icount
+    a.Osim.Process.cpu.Vm.Cpu.icount;
+  check_bool "hooked block demoted on A" true (block_of a < block_of ctl);
+  check_tiers "B unaffected by A's hook" ctl b;
+  check_tiers "instance created after the hook starts all-runnable" ctl c;
+  (* Removing the hook re-promotes the block on A. *)
+  Vm.Cpu.remove_hook a.Osim.Process.cpu id;
+  let a0 = block_of a and ctl0 = block_of ctl in
+  let reqs = stream 2 in
+  List.iter (fun p -> serve p reqs) [ a; b; ctl ];
+  check_int "unhooked block re-promoted on A" (block_of ctl - ctl0)
+    (block_of a - a0);
+  check_tiers "B still unaffected" ctl b;
+  (* Invalidation and an elision trip on A stay on A. *)
+  Vm.Cpu.invalidate_block a.Osim.Process.cpu ~pc:hot;
+  Vm.Cpu.elision_trip a.Osim.Process.cpu
+    ~pc:(Vm.Asm.symbol a.Osim.Process.lib_image "memcpy");
+  (* A hook attach/detach on B re-derives B's runnable flags, which must
+     come from B's own validity, not A's. *)
+  Vm.Cpu.remove_hook b.Osim.Process.cpu
+    (Vm.Cpu.add_pc_hook b.Osim.Process.cpu ~pc:hot ignore);
+  let a0 = block_of a and ctl0 = block_of ctl in
+  let reqs = stream 3 in
+  List.iter (fun p -> serve p reqs) [ a; b; ctl ];
+  check_bool "invalidated block demoted on A" true
+    (block_of a - a0 < block_of ctl - ctl0);
+  check_int "trip counted on A" 1 a.Osim.Process.cpu.Vm.Cpu.elision_trips;
+  check_int "no trip on B" 0 b.Osim.Process.cpu.Vm.Cpu.elision_trips;
+  check_tiers "B unaffected by A's invalidation and trip" ctl b
+
+(* Host creation is a COW clone plus a fresh CPU over the template's
+   compiled blocks: its minor-heap allocation is a small constant per
+   host, the same at 10 hosts as at 1000 (a deterministic count, unlike
+   wall-clock). Recompiling the blocks per host would allocate ~75k. *)
+let test_instantiate_allocation_bound () =
+  let tpl =
+    Osim.Process.template ~aslr:true ~seed:3
+      ((Apps.Registry.find "apache1").r_compile ())
+  in
+  let per_host n =
+    let before = Gc.minor_words () in
+    let hosts = Array.init n (fun _ -> Osim.Process.instantiate tpl) in
+    let words = Gc.minor_words () -. before in
+    ignore (Sys.opaque_identity hosts);
+    words /. float_of_int n
+  in
+  List.iter
+    (fun n ->
+      let w = per_host n in
+      if w > 4096. then
+        Alcotest.failf "instantiate allocates %.0f minor words/host at n=%d"
+          w n)
+    [ 10; 1000 ]
+
 let () =
   Alcotest.run "osim"
     [
@@ -455,5 +590,14 @@ let () =
           Alcotest.test_case "rollback hooks" `Quick test_rollback_hooks_fire;
           Alcotest.test_case "message lookup bounds" `Quick
             test_netlog_message_lookup_bounds;
+        ] );
+      ( "template",
+        [
+          Alcotest.test_case "instantiate == load" `Quick
+            test_instantiate_matches_load;
+          Alcotest.test_case "instances keep separate block state" `Quick
+            test_instances_keep_separate_block_state;
+          Alcotest.test_case "instantiate allocation bound" `Quick
+            test_instantiate_allocation_bound;
         ] );
     ]
