@@ -353,14 +353,16 @@ let hitlist_response () =
 (* Mechanical community defense (the micro-scale twin of Figs 6-8)     *)
 (* ------------------------------------------------------------------ *)
 
+module Sh = Sweeper.Defense.Sharded
+
 let community () =
   section_header
     "Mechanical community defense: real hosts, real exploit bytes";
   let run ~n ~producers =
     let entry = Apps.Registry.find "apache1" in
     let c =
-      Sweeper.Defense.create ~app:"apache1" ~compile:entry.r_compile ~n
-        ~producers ~seed:5000 ()
+      Sh.create ~app:"apache1" ~compile:entry.r_compile ~n ~producers
+        ~seed:5000 ()
     in
     let rng = Random.State.make [| n; producers |] in
     let exploit_for (_ : Sweeper.Defense.host) =
@@ -370,17 +372,18 @@ let community () =
         .Apps.Exploits.x_messages
     in
     for _ = 1 to 3 do
-      Sweeper.Defense.worm_round c ~exploit_for
+      Sh.post_traffic c ~traffic:exploit_for;
+      ignore (Sh.run_round c)
     done;
-    let s = c.Sweeper.Defense.stats in
+    let s = Sh.summary c in
     Printf.printf
       "%3d hosts, %d producers: %5.1f%% infected | %d detections, %d blocked, \
        first antibody %s\n"
       n producers
-      (100. *. Sweeper.Defense.infection_ratio c)
-      s.Sweeper.Defense.s_crashes s.Sweeper.Defense.s_blocked
-      (match s.Sweeper.Defense.s_first_antibody_ms with
-      | Some ms -> Printf.sprintf "%.1f ms" ms
+      (100. *. float_of_int s.Sh.sm_infected_hosts /. float_of_int n)
+      s.Sh.sm_crashes s.Sh.sm_blocked
+      (match s.Sh.sm_first_antibody_vtime_ms with
+      | Some ms -> Printf.sprintf "at %.1f vms" ms
       | None -> "never")
   in
   if !smoke then begin
@@ -401,7 +404,7 @@ let community () =
 (* Pipeline: cooperative scheduler scaling                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Community-scale serving on the cooperative scheduler: n hosts, benign
+(* Community-scale serving on one shard and one domain: n hosts, benign
    traffic on all of them, one attack stream spliced mid-stream into the
    producer's inbox — service, analysis, recovery and antibody
    propagation all interleaved in simulated time. The numbers are the
@@ -420,16 +423,25 @@ type pipeline_row = {
   p_crashes : int;
   p_blocked : int;
   p_infections : int;
-  p_first_antibody_ms : float option;
+  p_first_antibody_ms : float option;  (** virtual ms *)
   p_spans : int;  (** trace events emitted; 0 on the obs-off run *)
 }
+
+(* A merged community gauge (one shard: the shard's own value). *)
+let merged_gauge c name =
+  List.fold_left
+    (fun acc (m : Obs.Metrics.sample) ->
+      match m.Obs.Metrics.s_value with
+      | Obs.Metrics.Sample_gauge v when m.Obs.Metrics.s_name = name -> v
+      | _ -> acc)
+    0. (Sh.merged_metrics c)
 
 let pipeline_run ?(obs = false) ~n ~benign () =
   let entry = Apps.Registry.find "apache1" in
   let t0 = Unix.gettimeofday () in
   let c =
-    Sweeper.Defense.create ~app:"apache1" ~compile:entry.r_compile ~n
-      ~producers:1 ~seed:(9000 + n) ()
+    Sh.create ~app:"apache1" ~compile:entry.r_compile ~n ~producers:1
+      ~seed:(9000 + n) ()
   in
   let create_s = Unix.gettimeofday () -. t0 in
   (* The producer's stream carries the exploit mid-way (wrong address
@@ -456,26 +468,27 @@ let pipeline_run ?(obs = false) ~n ~benign () =
     Obs.Trace.clear ()
   end;
   let t1 = Unix.gettimeofday () in
-  let sched = Sweeper.Defense.run_scheduled c ~traffic in
+  Sh.post_traffic c ~traffic;
+  ignore (Sh.run_round c);
   let run_s = Unix.gettimeofday () -. t1 in
   let spans = if obs then Obs.Trace.event_count () else 0 in
   if obs then begin
     Obs.Trace.disable ();
     Obs.Trace.clear ()
   end;
+  let s = Sh.summary c in
   {
     p_hosts = n;
     p_messages = !messages;
     p_create_s = create_s;
     p_run_s = run_s;
-    p_virtual_ms = Osim.Sched.vclock_ms sched;
-    p_instructions = Osim.Sched.instructions sched;
-    p_sched_steps = Osim.Sched.steps sched;
-    p_crashes = c.Sweeper.Defense.stats.Sweeper.Defense.s_crashes;
-    p_blocked = c.Sweeper.Defense.stats.Sweeper.Defense.s_blocked;
-    p_infections = c.Sweeper.Defense.stats.Sweeper.Defense.s_infections;
-    p_first_antibody_ms =
-      c.Sweeper.Defense.stats.Sweeper.Defense.s_first_antibody_ms;
+    p_virtual_ms = merged_gauge c "sweeper_sched_vclock_ms";
+    p_instructions = s.Sh.sm_instructions;
+    p_sched_steps = int_of_float (merged_gauge c "sweeper_sched_steps");
+    p_crashes = s.Sh.sm_crashes;
+    p_blocked = s.Sh.sm_blocked;
+    p_infections = s.Sh.sm_infections;
+    p_first_antibody_ms = s.Sh.sm_first_antibody_vtime_ms;
     p_spans = spans;
   }
 
@@ -484,8 +497,6 @@ let pipeline_run ?(obs = false) ~n ~benign () =
 (* domain-count sweep at a fixed shard partition, one outbreak at      *)
 (* 10^5-host scale, and the differential oracle.                       *)
 (* ------------------------------------------------------------------ *)
-
-module Sh = Sweeper.Defense.Sharded
 
 type sharded_row = {
   d_hosts : int;
@@ -959,7 +970,7 @@ let pipeline () =
           (float_of_int r.p_instructions /. r.p_run_s)
           r.p_virtual_ms
           (match r.p_first_antibody_ms with
-          | Some ms -> Printf.sprintf "%.1f ms" ms
+          | Some ms -> Printf.sprintf "%.1f vms" ms
           | None -> "never");
         (* The same population with tracing on: spans cover every served
            message, checkpoint, and the producer's analysis stages. *)

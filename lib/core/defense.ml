@@ -10,13 +10,12 @@
     of {!Epidemic}: the analytic model's parameters (α, ρ, γ) all have a
     concrete mechanical counterpart here.
 
-    Community runs execute on the cooperative scheduler
-    ({!Osim.Sched}): every host is a task, traffic is posted to per-host
-    inboxes, and attack handling, benign service, analysis, and antibody
-    propagation all interleave in simulated time instead of lockstep
-    phases. The same reaction logic backs the direct {!deliver} entry
-    point, so a scheduled run and a serial one produce the same per-host
-    behaviour. *)
+    Every community runs on one engine, {!Sharded}: hosts are partitioned
+    across shards, each host is a task on its shard's cooperative
+    scheduler ({!Osim.Sched}), traffic is posted to per-host inboxes, and
+    attack handling, benign service, analysis, and antibody propagation
+    all interleave in simulated time. One shard on one domain is the
+    serial reference run. *)
 
 type role = Producer | Consumer
 
@@ -28,15 +27,6 @@ type host = {
   mutable h_infected : bool;
   mutable h_deployed : int;  (** antibody generation number installed *)
   mutable h_installed : Vsef.installed list;  (** currently-armed VSEFs *)
-}
-
-type stats = {
-  mutable s_attempts : int;
-  mutable s_infections : int;
-  mutable s_crashes : int;       (** detections via lightweight monitoring *)
-  mutable s_blocked : int;       (** stopped by antibodies *)
-  mutable s_analyses : int;      (** producer pipeline runs *)
-  mutable s_first_antibody_ms : float option;
 }
 
 (** One confirmed infection — the simulator's ground truth that forensic
@@ -64,406 +54,10 @@ type ab_origin = {
   ao_seq : int;     (** its sender-side sequence number *)
 }
 
-type t = {
-  app : string;
-  compile : unit -> Minic.Codegen.compiled;
-      (** the application build, for consumer-side antibody verification *)
-  hosts : host list;
-  mutable antibody : (int * Antibody.t) option;  (** generation, bundle *)
-  mutable generation : int;
-  mutable corpus : string list;
-      (** every confirmed exploit payload observed community-wide; two or
-          more distinct samples upgrade the exact-match signature to a
-          Polygraph-style token signature *)
-  verify_before_deploy : bool;
-  stats : stats;
-  metrics : Obs.Metrics.t;
-      (** where community counters register; the sharded community gives
-          every shard its own registry so no instrument crosses domains *)
-  mutable infections : infection list;
-      (** ground-truth infection log, newest first *)
-  mutable ab_origin : ab_origin option;
-      (** provenance of the first antibody (local analysis or adopted) *)
-  mutable statics : (Osim.Process.t * Static_an.Staint.t) option;
-      (** lazily-built reference copy of the application plus its static
-          taint analysis, for validating published antibodies (the
-          process carries its interval analysis in
-          [Osim.Process.absint]). Loaded with a fixed seed so every
-          shard reaches identical verdicts. *)
-}
-
-(* Stamp out the community's hosts from a pool of templates: the full
-   MiniC load pipeline runs once per distinct layout seed, every other
-   host is a copy-on-write instantiation. A pool of [template_pool]
-   distinct ASLR draws preserves the population diversity that the
-   paper's ρ analysis needs; for n <= pool the per-host layouts are
-   exactly the legacy per-host loads (template k carries seed + k). *)
-let make_hosts ~template_pool ~n ~producers ~seed compiled =
-  let pool = max 1 (min n template_pool) in
-  let templates =
-    Array.init pool (fun k ->
-        Osim.Process.template ~aslr:true ~seed:(seed + k) compiled)
-  in
-  List.init n (fun id ->
-      let proc = Osim.Process.instantiate templates.(id mod pool) in
-      let server = Osim.Server.create proc in
-      ignore (Osim.Server.run server);
-      {
-        h_id = id;
-        h_role = (if id < producers then Producer else Consumer);
-        h_proc = proc;
-        h_server = server;
-        h_infected = false;
-        h_deployed = 0;
-        h_installed = [];
-      })
-
-let fresh_stats () =
-  { s_attempts = 0; s_infections = 0; s_crashes = 0; s_blocked = 0;
-    s_analyses = 0; s_first_antibody_ms = None }
-
-(** Build a community of [n] hosts running the application compiled by
-    [compile]; the first [producers] of them run the full Sweeper stack.
-    Hosts share [template_pool] (default 64) randomized layouts derived
-    from [seed] — one template per distinct seed, instantiated by COW
-    copy, which is what keeps community creation O(n) page-table copies
-    instead of O(n) compiler runs. *)
-(* The rejection-reason label values of [sweeper_antibody_rejected_total],
-   pre-registered at community creation so merged samples expose explicit
-   zeros. Ordered by when the bar applies: static checks first, the
-   (optional) replay last. *)
-let reject_reasons = [ "static-infeasible"; "pcs-outside-S"; "replay-failed" ]
-
-let rejected_counter t reason =
-  Obs.Metrics.counter ~registry:t.metrics
-    ~help:"antibody bundles rejected at publication, by reason"
-    ~labels:[ ("reason", reason) ]
-    "sweeper_antibody_rejected_total"
-
-let preregister_rejections t =
-  List.iter (fun r -> ignore (rejected_counter t r)) reject_reasons
-
-let create ?(verify_before_deploy = false) ?(metrics = Obs.Metrics.default)
-    ?(template_pool = 64) ~app ~(compile : unit -> Minic.Codegen.compiled)
-    ~n ~producers ~seed () =
-  let compiled = compile () in
-  let t =
-    {
-      app;
-      compile;
-      hosts = make_hosts ~template_pool ~n ~producers ~seed compiled;
-      antibody = None;
-      generation = 0;
-      corpus = [];
-      verify_before_deploy;
-      stats = fresh_stats ();
-      metrics;
-      infections = [];
-      ab_origin = None;
-      statics = None;
-    }
-  in
-  preregister_rejections t;
-  t
-
-(* The reference statics every published bundle is validated against:
-   one fixed-seed copy of the application (its loader already ran the
-   interval analysis) plus the static taint analysis of its code. Built
-   on first publication, cached for the community's lifetime. *)
-let statics_of t =
-  match t.statics with
-  | Some s -> s
-  | None ->
-    let proc = Osim.Process.load ~aslr:true ~seed:97 (t.compile ()) in
-    let s = (proc, Static_an.Staint.analyze proc.Osim.Process.cpu.Vm.Cpu.code) in
-    t.statics <- Some s;
-    s
-
-(* Why a bundle must not be adopted, or [None] when it passes: the
-   always-on static bars (every guarded overflow pc must be a statically
-   feasible unsafe write; every taint-filter pc must lie in S), then the
-   opt-in exploit replay. *)
-let rejection t antibody =
-  let proc, staint = statics_of t in
-  let absint = proc.Osim.Process.absint in
-  if Antibody.validate_feasible proc absint antibody <> [] then
-    Some "static-infeasible"
-  else if Antibody.validate_static proc staint antibody <> [] then
-    Some "pcs-outside-S"
-  else if
-    t.verify_before_deploy
-    && not (Antibody.verify antibody ~compile:t.compile)
-  then Some "replay-failed"
-  else None
-
-(** Publish an antibody to the community — after validation: the static
-    feasibility and taint bars always apply, and consumers that distrust
-    the producer additionally verify the bundle against their own copy of
-    the application (the deferred-verification option of Section 3.3).
-    Returns whether the bundle was accepted; rejections count in
-    [sweeper_antibody_rejected_total] by reason. *)
-let publish t antibody =
-  match rejection t antibody with
-  | Some reason ->
-    Obs.Metrics.inc (rejected_counter t reason);
-    Obs.Trace.instant ~cat:"community"
-      ~args:[ ("reason", reason) ]
-      "antibody-rejected";
-    false
-  | None ->
-    t.generation <- t.generation + 1;
-    t.antibody <- Some (t.generation, antibody);
-    Obs.Metrics.inc
-      (Obs.Metrics.counter ~registry:t.metrics
-         ~help:"antibody generations published"
-         "sweeper_antibodies_published_total");
-    Obs.Trace.instant ~cat:"community"
-      ~args:[ ("generation", string_of_int t.generation) ]
-      "antibody-published";
-    true
-
-(* Make sure [host] runs the latest antibody generation, replacing any
-   previously installed one. *)
-let sync_antibody t host =
-  match t.antibody with
-  | Some (gen, ab) when host.h_deployed < gen ->
-    List.iter Vsef.uninstall host.h_installed;
-    Osim.Netlog.remove_filter host.h_proc.Osim.Process.net
-      ~name:("antibody-" ^ t.app);
-    host.h_installed <- Antibody.deploy host.h_proc ab;
-    host.h_deployed <- gen
-  | _ -> ()
-
-(** Record a confirmed exploit payload (the original crash input or a
-    VSEF-blocked variant). With two or more distinct samples the signature
-    is refined from exact-match to a token signature that covers the whole
-    family, and the antibody is republished. *)
-(* Token refinement converges after a handful of diverse variants: only
-   bytes invariant across ALL samples survive, and each extra sample can
-   only shrink the token set it has already stabilized. Refining (and
-   republishing, which redeploys VSEFs community-wide) on every one of
-   thousands of distinct worm variants would be O(n^2); saturate instead. *)
-let refine_corpus_cap = 8
-
-let record_exploit_sample t payload =
-  if
-    List.compare_length_with t.corpus refine_corpus_cap < 0
-    && not (List.mem payload t.corpus)
-  then begin
-    t.corpus <- payload :: t.corpus;
-    match (t.antibody, t.corpus) with
-    | Some (_, ab), (_ :: _ :: _ as corpus) ->
-      let refined = Signature.tokens_of_variants (List.rev corpus) in
-      ignore (publish t { ab with Antibody.ab_signature = Some refined })
-    | _ -> ()
-  end
-
-(* The rollback point for dropping message [cur]: a checkpoint predating
-   its consumption (the latest one may have been taken mid-message). *)
-let safe_ck host cur =
-  fst (Stage.Replay.rollback_point host.h_server ~msg_index:cur)
-
-type delivery =
-  | Served
-  | Blocked of string       (** input filter or VSEF stopped it *)
-  | Detected_and_analyzed   (** producer ran the pipeline; antibody published *)
-  | Crashed_consumer        (** consumer detected the attack but can only recover *)
-  | Infected of string
-
-(* The provenance of the message a host is currently servicing. *)
-let cur_prov host =
-  let cur = host.h_proc.Osim.Process.cur_msg in
-  if cur < 0 then None
-  else
-    Some
-      (cur, (Osim.Netlog.message host.h_proc.Osim.Process.net cur).Osim.Netlog.m_prov)
-
-(* The community's reaction to one delivery outcome — shared between the
-   direct [deliver] path and the scheduler's event handler, so serial and
-   interleaved runs behave identically per host. [vtime] is the event's
-   virtual timestamp for the ground-truth logs (defaults to the host's
-   own clock; the sharded driver passes its oracle timeline instead). *)
-let react ?vtime t host outcome : delivery =
-  let vtime =
-    match vtime with
-    | Some v -> v
-    | None -> Osim.Server.vtime_ms host.h_server
-  in
-  match outcome with
-  | `Served -> Served
-  | `Filtered name ->
-    t.stats.s_blocked <- t.stats.s_blocked + 1;
-    Blocked name
-  | `Infected cmd ->
-    host.h_infected <- true;
-    t.stats.s_infections <- t.stats.s_infections + 1;
-    (match cur_prov host with
-    | Some (cur, p) ->
-      t.infections <-
-        { inf_victim = host.h_id; inf_src = p.Osim.Netlog.p_src;
-          inf_seq = p.Osim.Netlog.p_seq; inf_msg = cur;
-          inf_arrival = p.Osim.Netlog.p_vtime; inf_vtime = vtime }
-        :: t.infections
-    | None -> ());
-    Infected cmd
-  | `Crashed fault ->
-    t.stats.s_crashes <- t.stats.s_crashes + 1;
-    (match host.h_role with
-    | Producer ->
-      t.stats.s_analyses <- t.stats.s_analyses + 1;
-      (* Capture the attack message's provenance before analysis: the
-         recovery inside [handle_attack] rolls [cur_msg] back. *)
-      let origin =
-        match cur_prov host with
-        | Some (cur, p) ->
-          Some
-            { ao_host = host.h_id; ao_vtime = vtime; ao_msg = cur;
-              ao_src = p.Osim.Netlog.p_src; ao_seq = p.Osim.Netlog.p_seq }
-        | None -> None
-      in
-      let report = Orchestrator.handle_attack ~app:t.app host.h_server fault in
-      if t.stats.s_first_antibody_ms = None then
-        t.stats.s_first_antibody_ms <-
-          Some report.Orchestrator.a_total_ms;
-      let accepted = publish t report.Orchestrator.a_antibody in
-      if accepted && t.ab_origin = None then t.ab_origin <- origin;
-      host.h_deployed <- t.generation;
-      (match report.Orchestrator.a_antibody.Antibody.ab_exploit_input with
-      | Some inputs -> List.iter (record_exploit_sample t) inputs
-      | None -> ());
-      Detected_and_analyzed
-    | Consumer ->
-      (* A consumer has checkpoints but no analysis stack: roll back to
-         a checkpoint predating the in-flight message and drop it. *)
-      let cur = host.h_proc.Osim.Process.cur_msg in
-      ignore (Recovery.recover host.h_server (safe_ck host cur) ~skip:[ cur ]);
-      Crashed_consumer)
-  | `Vetoed ->
-    (* A VSEF vetoed the attack: drop the message, resume — and feed the
-       confirmed exploit variant back into signature refinement, so the
-       proxy filter learns what the VSEF had to catch. *)
-    t.stats.s_blocked <- t.stats.s_blocked + 1;
-    let cur = host.h_proc.Osim.Process.cur_msg in
-    let payload = (Osim.Netlog.message host.h_proc.Osim.Process.net cur).Osim.Netlog.m_payload in
-    ignore (Recovery.recover host.h_server (safe_ck host cur) ~skip:[ cur ]);
-    record_exploit_sample t payload;
-    Blocked "vsef"
-
-(** Deliver one message to one host, with the full community behaviour:
-    antibody sync, producer-side analysis on detection, consumer-side
-    recovery. *)
-let deliver t host payload : delivery =
-  if host.h_infected then Infected "already infected"
-  else begin
-    t.stats.s_attempts <- t.stats.s_attempts + 1;
-    sync_antibody t host;
-    match Osim.Server.handle host.h_server payload with
-    | `Served _ -> react t host `Served
-    | `Filtered name -> react t host (`Filtered name)
-    | `Stopped -> react t host `Served
-    | `Infected (_, cmd) -> react t host (`Infected cmd)
-    | `Crashed (_, fault) -> react t host (`Crashed fault)
-    | exception Detection.Detected _ -> react t host `Vetoed
-  end
-
-(** Run traffic through the cooperative scheduler: every uninfected host
-    becomes a task, [traffic] fills its inbox, and service, crashes,
-    producer analysis, recovery, and antibody propagation interleave in
-    simulated time until the community is quiescent. Returns the
-    scheduler for inspection (virtual clock, instruction counts). *)
-let run_scheduled ?quantum t ~(traffic : host -> string list) =
-  let sched = Osim.Sched.create ?quantum () in
-  let assoc = Hashtbl.create (List.length t.hosts) in
-  List.iter
-    (fun host ->
-      if not host.h_infected then begin
-        let task =
-          Osim.Sched.add sched host.h_server
-            ~on_deliver:(fun _payload ->
-              (* The moment a message reaches the host: the proxy syncs
-                 the newest antibody generation, the attempt counts. *)
-              t.stats.s_attempts <- t.stats.s_attempts + 1;
-              sync_antibody t host)
-        in
-        Hashtbl.replace assoc task.Osim.Sched.sk_id host;
-        List.iter (Osim.Sched.post sched task) (traffic host)
-      end)
-    t.hosts;
-  let handler task event =
-    let host = Hashtbl.find assoc task.Osim.Sched.sk_id in
-    match event with
-    | Osim.Sched.Served _ -> ()
-    | Osim.Sched.Stopped -> ()
-    | Osim.Sched.Filtered (name, _) -> ignore (react t host (`Filtered name))
-    | Osim.Sched.Infected cmd -> ignore (react t host (`Infected cmd))
-    | Osim.Sched.Crashed fault ->
-      ignore (react t host (`Crashed fault));
-      (* The host is live again (analysis recovered it, or the consumer
-         rolled back): return it to service for its remaining inbox. *)
-      Osim.Sched.unpark sched task
-    | Osim.Sched.Raised (Detection.Detected _) ->
-      ignore (react t host `Vetoed);
-      Osim.Sched.unpark sched task
-    | Osim.Sched.Raised e -> raise e
-  in
-  let sp =
-    Obs.Trace.begin_span ~cat:"community"
-      ~args:[ ("hosts", string_of_int (List.length t.hosts)) ]
-      ~vts_ms:(Osim.Sched.vclock_ms sched) "community-round"
-  in
-  Osim.Sched.run ~handler sched;
-  Obs.Trace.end_span ~vts_ms:(Osim.Sched.vclock_ms sched) sp;
-  sched
-
-(** One worm round: the worm attacks every uninfected host once, with a
-    fresh address guess per host ([exploit_for] builds the per-host attack
-    stream). The deliveries of a round run interleaved on the scheduler. *)
-let worm_round ?quantum t ~(exploit_for : host -> string list) =
-  ignore (run_scheduled ?quantum t ~traffic:exploit_for)
-
-let infected_count t = List.length (List.filter (fun h -> h.h_infected) t.hosts)
-
-(** Register the community's population-level statistics as pull-gauges. *)
-let register_metrics t registry =
-  let g name help f =
-    Obs.Metrics.gauge_fn ~registry ~help name (fun () -> float_of_int (f ()))
-  in
-  g "sweeper_community_attempts" "deliveries attempted" (fun () ->
-      t.stats.s_attempts);
-  g "sweeper_community_infections" "successful infections" (fun () ->
-      t.stats.s_infections);
-  g "sweeper_community_crashes" "detections via lightweight monitoring"
-    (fun () -> t.stats.s_crashes);
-  g "sweeper_community_blocked" "attacks stopped by antibodies" (fun () ->
-      t.stats.s_blocked);
-  g "sweeper_community_analyses" "producer pipeline runs" (fun () ->
-      t.stats.s_analyses);
-  g "sweeper_community_infected_hosts" "hosts currently infected" (fun () ->
-      infected_count t);
-  Obs.Metrics.gauge_fn ~registry
-    ~help:"analysis latency of the first antibody (ms; -1 before one exists)"
-    "sweeper_community_first_antibody_ms" (fun () ->
-      Option.value ~default:(-1.) t.stats.s_first_antibody_ms)
-
-let infection_ratio t =
-  float_of_int (infected_count t) /. float_of_int (List.length t.hosts)
-
-(** Every uninfected host still answers a trivial request. *)
-let all_alive t =
-  List.for_all
-    (fun h ->
-      h.h_infected
-      ||
-      match Osim.Server.handle h.h_server "noop" with
-      | `Served _ | `Stopped -> true
-      | `Filtered _ | `Crashed _ | `Infected _ -> false)
-    t.hosts
-
 (** The domain-sharded community: hosts partitioned across shards, each
-    shard running its own single-threaded scheduler, PRNG stream, and
-    metrics registry on its own OCaml domain ({!Osim.Cluster}), with
-    antibody knowledge crossing shards only as envelope values at
-    virtual-clock barriers.
+    shard running its own single-threaded scheduler and metrics registry
+    on its own OCaml domain ({!Osim.Cluster}), with antibody knowledge
+    crossing shards only as envelope values at virtual-clock barriers.
 
     The broadcast protocol avoids rebroadcast loops by construction:
     a shard broadcasts (a) the first antibody it {e produces} by local
@@ -489,17 +83,43 @@ module Sharded = struct
             the provenance of the attack message it was minted against *)
     | Sample of string  (** a locally-confirmed exploit payload *)
 
+  (* One shard: the defense state of its hosts (antibody, exploit corpus,
+     counters, ground-truth logs) plus its scheduler and mail. Only the
+     shard's own domain touches it inside a window. *)
   type shard = {
     sh_id : int;
-    sh_dfn : t;  (** per-shard defense state over this shard's hosts *)
+    sh_shards : int;
+    sh_app : string;
+    sh_compile : unit -> Minic.Codegen.compiled;
+        (** the application build, for consumer-side antibody verification *)
+    sh_verify : bool;  (** replay-verify bundles before deploying them *)
+    sh_hosts : host list;
     sh_sched : Osim.Sched.t;
     sh_outbox : Osim.Sched.outbox;
     sh_task_host : (int, host) Hashtbl.t;  (** task id -> host *)
     sh_task_of : (int, Osim.Sched.task) Hashtbl.t;  (** global host id -> task *)
     sh_metrics : Obs.Metrics.t;
-    sh_rng : Random.State.t;
-        (** the shard's private stream, seeded from (seed, shard id) *)
-    sh_shards : int;
+        (** the shard's private registry; merged at barriers *)
+    mutable sh_antibody : (int * Antibody.t) option;  (** generation, bundle *)
+    mutable sh_generation : int;
+    mutable sh_corpus : string list;
+        (** every confirmed exploit payload the shard has seen; two or
+            more distinct samples upgrade the exact-match signature to a
+            Polygraph-style token signature *)
+    mutable sh_statics : (Osim.Process.t * Static_an.Staint.t) option;
+        (** lazily-built reference copy of the application plus its static
+            taint analysis, for validating published antibodies (the
+            process carries its interval analysis in
+            [Osim.Process.absint]). Loaded with a fixed seed so every
+            shard reaches identical verdicts. *)
+    mutable sh_attempts : int;
+    mutable sh_infections : int;
+    mutable sh_crashes : int;  (** detections via lightweight monitoring *)
+    mutable sh_blocked : int;  (** stopped by antibodies *)
+    mutable sh_analyses : int;  (** producer pipeline runs *)
+    mutable sh_infection_log : infection list;  (** newest first *)
+    mutable sh_ab_origin : ab_origin option;
+        (** provenance of the first antibody (local analysis or adopted) *)
     mutable sh_out_rev : msg Osim.Cluster.envelope list;
     mutable sh_events_rev : (float * int * string) list;
         (** (vtime, global host id, kind) — the oracle's event log *)
@@ -515,11 +135,9 @@ module Sharded = struct
     c_config : Osim.Cluster.config;
     c_topology : Osim.Cluster.topology;
     c_n : int;
-    c_seed : int;
     mutable c_windows : int;
     mutable c_exchanged : int;
     mutable c_deferred : int;
-    mutable c_rounds : int;
     mutable c_merged : Obs.Metrics.sample list;
         (** community-level metrics, merged at the last barrier *)
     c_seqs : (int, int ref) Hashtbl.t;
@@ -560,6 +178,133 @@ module Sharded = struct
         (** provenance of the community's first antibody *)
   }
 
+  (* ---------------------------------------------------------------- *)
+  (* Antibody publication and refinement, per shard                    *)
+  (* ---------------------------------------------------------------- *)
+
+  (* The rejection-reason label values of [sweeper_antibody_rejected_total],
+     pre-registered at community creation so merged samples expose explicit
+     zeros. Ordered by when the bar applies: static checks first, the
+     (optional) replay last. *)
+  let reject_reasons = [ "static-infeasible"; "pcs-outside-S"; "replay-failed" ]
+
+  let rejected_counter sh reason =
+    Obs.Metrics.counter ~registry:sh.sh_metrics
+      ~help:"antibody bundles rejected at publication, by reason"
+      ~labels:[ ("reason", reason) ]
+      "sweeper_antibody_rejected_total"
+
+  (* The reference statics every published bundle is validated against:
+     one fixed-seed copy of the application (its loader already ran the
+     interval analysis) plus the static taint analysis of its code. Built
+     on first publication, cached for the community's lifetime. *)
+  let statics_of sh =
+    match sh.sh_statics with
+    | Some s -> s
+    | None ->
+      let proc = Osim.Process.load ~aslr:true ~seed:97 (sh.sh_compile ()) in
+      let s = (proc, Static_an.Staint.analyze proc.Osim.Process.cpu.Vm.Cpu.code) in
+      sh.sh_statics <- Some s;
+      s
+
+  (* Why a bundle must not be adopted, or [None] when it passes: the
+     always-on static bars (every guarded overflow pc must be a statically
+     feasible unsafe write; every taint-filter pc must lie in S), then the
+     opt-in exploit replay. *)
+  let rejection sh antibody =
+    let proc, staint = statics_of sh in
+    let absint = proc.Osim.Process.absint in
+    if Antibody.validate_feasible proc absint antibody <> [] then
+      Some "static-infeasible"
+    else if Antibody.validate_static proc staint antibody <> [] then
+      Some "pcs-outside-S"
+    else if sh.sh_verify && not (Antibody.verify antibody ~compile:sh.sh_compile)
+    then Some "replay-failed"
+    else None
+
+  (* Publish an antibody on the shard — after validation: the static
+     feasibility and taint bars always apply, and consumers that distrust
+     the producer additionally verify the bundle against their own copy of
+     the application (the deferred-verification option of Section 3.3).
+     Returns whether the bundle was accepted; rejections count in
+     [sweeper_antibody_rejected_total] by reason. *)
+  let publish sh antibody =
+    match rejection sh antibody with
+    | Some reason ->
+      Obs.Metrics.inc (rejected_counter sh reason);
+      Obs.Trace.instant ~cat:"community"
+        ~args:[ ("reason", reason) ]
+        "antibody-rejected";
+      false
+    | None ->
+      sh.sh_generation <- sh.sh_generation + 1;
+      sh.sh_antibody <- Some (sh.sh_generation, antibody);
+      Obs.Metrics.inc
+        (Obs.Metrics.counter ~registry:sh.sh_metrics
+           ~help:"antibody generations published"
+           "sweeper_antibodies_published_total");
+      Obs.Trace.instant ~cat:"community"
+        ~args:[ ("generation", string_of_int sh.sh_generation) ]
+        "antibody-published";
+      true
+
+  (* Make sure [host] runs the latest antibody generation, replacing any
+     previously installed one. *)
+  let sync_antibody sh host =
+    match sh.sh_antibody with
+    | Some (gen, ab) when host.h_deployed < gen ->
+      List.iter Vsef.uninstall host.h_installed;
+      Osim.Netlog.remove_filter host.h_proc.Osim.Process.net
+        ~name:("antibody-" ^ sh.sh_app);
+      host.h_installed <- Antibody.deploy host.h_proc ab;
+      host.h_deployed <- gen
+    | _ -> ()
+
+  (* Record a confirmed exploit payload (the original crash input or a
+     VSEF-blocked variant). With two or more distinct samples the
+     signature is refined from exact-match to a token signature that
+     covers the whole family, and the antibody is republished.
+     Token refinement converges after a handful of diverse variants: only
+     bytes invariant across ALL samples survive, and each extra sample
+     can only shrink the token set it has already stabilized. Refining
+     (and republishing, which redeploys VSEFs shard-wide) on every one of
+     thousands of distinct worm variants would be O(n^2); saturate
+     instead. *)
+  let refine_corpus_cap = 8
+
+  let record_exploit_sample sh payload =
+    if
+      List.compare_length_with sh.sh_corpus refine_corpus_cap < 0
+      && not (List.mem payload sh.sh_corpus)
+    then begin
+      sh.sh_corpus <- payload :: sh.sh_corpus;
+      match (sh.sh_antibody, sh.sh_corpus) with
+      | Some (_, ab), (_ :: _ :: _ as corpus) ->
+        let refined = Signature.tokens_of_variants (List.rev corpus) in
+        ignore (publish sh { ab with Antibody.ab_signature = Some refined })
+      | _ -> ()
+    end
+
+  (* ---------------------------------------------------------------- *)
+  (* Reacting to scheduler events                                      *)
+  (* ---------------------------------------------------------------- *)
+
+  (* Drop the message [host] is servicing: roll back to a checkpoint
+     predating its consumption (the latest one may have been taken
+     mid-message) and resume without it. *)
+  let drop_current host =
+    let cur = host.h_proc.Osim.Process.cur_msg in
+    let ck = fst (Stage.Replay.rollback_point host.h_server ~msg_index:cur) in
+    ignore (Recovery.recover host.h_server ck ~skip:[ cur ])
+
+  (* The provenance of the message a host is currently servicing. *)
+  let cur_prov host =
+    let cur = host.h_proc.Osim.Process.cur_msg in
+    if cur < 0 then None
+    else
+      Some
+        (cur, (Osim.Netlog.message host.h_proc.Osim.Process.net cur).Osim.Netlog.m_prov)
+
   let record_event sh vt host_id kind =
     sh.sh_events_rev <- (vt, host_id, kind) :: sh.sh_events_rev
 
@@ -575,15 +320,14 @@ module Sharded = struct
   (* Apply one inbound envelope at window start. Neither branch ever
      re-emits — see the module doc's loop-freedom argument. Adoption
      bookkeeping happens only when [publish] accepts the bundle: a
-     statically infeasible (fabricated) antibody is rejected — counted
-     and recorded — and leaves the shard open to a later legitimate
-     publication. *)
+     bundle that fails validation is rejected — counted and recorded —
+     and leaves the shard open to a later legitimate publication. *)
   let apply_envelope sh (e : msg Osim.Cluster.envelope) =
     match e.Osim.Cluster.env_msg with
     | Antibody_pub (ab, origin) ->
-      if sh.sh_dfn.antibody = None then
-        if publish sh.sh_dfn ab then begin
-          if sh.sh_dfn.ab_origin = None then sh.sh_dfn.ab_origin <- origin;
+      if sh.sh_antibody = None then
+        if publish sh ab then begin
+          if sh.sh_ab_origin = None then sh.sh_ab_origin <- origin;
           sh.sh_ab_prov <-
             Some
               ( e.Osim.Cluster.env_vtime, e.Osim.Cluster.env_src,
@@ -591,55 +335,98 @@ module Sharded = struct
           record_event sh e.Osim.Cluster.env_vtime (-1) "antibody-adopted"
         end
         else record_event sh e.Osim.Cluster.env_vtime (-1) "antibody-rejected"
-    | Sample s -> record_exploit_sample sh.sh_dfn s
+    | Sample s -> record_exploit_sample sh s
 
-  (* The shard-local reaction to one reified scheduler effect: the same
-     [react] logic as the single-scheduler driver, plus delta detection
-     for what must cross the barrier. *)
-  let react_effect sh (fx : Osim.Sched.effect_) =
-    let d = sh.sh_dfn in
-    let host = Hashtbl.find sh.sh_task_host fx.Osim.Sched.fx_task.Osim.Sched.sk_id in
+  (* A producer detected an attack: capture the attack message's
+     provenance (the recovery inside [handle_attack] rolls [cur_msg]
+     back), run the full analysis, and publish what it produced. *)
+  let analyze sh host vt fault =
+    sh.sh_analyses <- sh.sh_analyses + 1;
+    let origin =
+      Option.map
+        (fun (cur, p) ->
+          { ao_host = host.h_id; ao_vtime = vt; ao_msg = cur;
+            ao_src = p.Osim.Netlog.p_src; ao_seq = p.Osim.Netlog.p_seq })
+        (cur_prov host)
+    in
+    let report = Orchestrator.handle_attack ~app:sh.sh_app host.h_server fault in
+    let ab = report.Orchestrator.a_antibody in
+    if publish sh ab && sh.sh_ab_origin = None then sh.sh_ab_origin <- origin;
+    host.h_deployed <- sh.sh_generation;
+    Option.iter (List.iter (record_exploit_sample sh)) ab.Antibody.ab_exploit_input
+
+  (* The shard's reaction to one reified scheduler event: log it for the
+     oracle, apply the community behaviour (producer analysis, consumer
+     rollback, VSEF-confirmed samples), return repaired hosts to service,
+     then queue for the barrier whatever the reaction produced. *)
+  let react sh (fx : Osim.Sched.effect_) =
+    let task = fx.Osim.Sched.fx_task in
+    let host = Hashtbl.find sh.sh_task_host task.Osim.Sched.sk_id in
     let vt = fx.Osim.Sched.fx_vtime in
-    let had_ab = d.antibody <> None in
-    let corpus0 = List.length d.corpus in
+    let had_ab = sh.sh_antibody <> None in
+    let corpus0 = List.length sh.sh_corpus in
     (match fx.Osim.Sched.fx_event with
     | Osim.Sched.Served _ | Osim.Sched.Stopped -> ()
     | Osim.Sched.Filtered (name, _) ->
       record_event sh vt host.h_id ("filtered:" ^ name);
-      ignore (react ~vtime:vt d host (`Filtered name))
-    | Osim.Sched.Infected cmd ->
+      sh.sh_blocked <- sh.sh_blocked + 1
+    | Osim.Sched.Infected _ ->
       record_event sh vt host.h_id "infected";
-      ignore (react ~vtime:vt d host (`Infected cmd))
+      host.h_infected <- true;
+      sh.sh_infections <- sh.sh_infections + 1;
+      Option.iter
+        (fun (cur, p) ->
+          sh.sh_infection_log <-
+            { inf_victim = host.h_id; inf_src = p.Osim.Netlog.p_src;
+              inf_seq = p.Osim.Netlog.p_seq; inf_msg = cur;
+              inf_arrival = p.Osim.Netlog.p_vtime; inf_vtime = vt }
+            :: sh.sh_infection_log)
+        (cur_prov host)
     | Osim.Sched.Crashed fault ->
       record_event sh vt host.h_id "crashed";
-      ignore (react ~vtime:vt d host (`Crashed fault));
-      Osim.Sched.unpark sh.sh_sched fx.Osim.Sched.fx_task
+      sh.sh_crashes <- sh.sh_crashes + 1;
+      (* A consumer has checkpoints but no analysis stack: it can only
+         drop the attack message. *)
+      (match host.h_role with
+      | Producer -> analyze sh host vt fault
+      | Consumer -> drop_current host);
+      Osim.Sched.unpark sh.sh_sched task
     | Osim.Sched.Raised (Detection.Detected _) ->
+      (* A VSEF vetoed the attack: drop the message, resume — and feed the
+         confirmed exploit variant back into signature refinement, so the
+         proxy filter learns what the VSEF had to catch. *)
       record_event sh vt host.h_id "vetoed";
-      ignore (react ~vtime:vt d host `Vetoed);
-      Osim.Sched.unpark sh.sh_sched fx.Osim.Sched.fx_task
+      sh.sh_blocked <- sh.sh_blocked + 1;
+      let cur = host.h_proc.Osim.Process.cur_msg in
+      let payload =
+        (Osim.Netlog.message host.h_proc.Osim.Process.net cur).Osim.Netlog.m_payload
+      in
+      drop_current host;
+      record_exploit_sample sh payload;
+      Osim.Sched.unpark sh.sh_sched task
     | Osim.Sched.Raised e -> raise e);
-    if (not had_ab) && d.antibody <> None then begin
+    (match sh.sh_antibody with
+    | Some (_, ab) when not had_ab ->
       if sh.sh_first_pub = None then sh.sh_first_pub <- Some vt;
       record_event sh vt host.h_id "antibody-published";
-      broadcast sh vt (Antibody_pub (snd (Option.get d.antibody), d.ab_origin))
-    end;
-    let corpus1 = List.length d.corpus in
+      broadcast sh vt (Antibody_pub (ab, sh.sh_ab_origin))
+    | _ -> ());
+    let corpus1 = List.length sh.sh_corpus in
     (* Broadcast only samples that can still refine a signature somewhere:
        past the saturation cap they are dead weight on every shard. *)
     if corpus1 > corpus0 && corpus0 < refine_corpus_cap then begin
       (* The corpus grows by prepending; the delta is its prefix. *)
-      let fresh = List.filteri (fun i _ -> i < corpus1 - corpus0) d.corpus in
+      let fresh = List.filteri (fun i _ -> i < corpus1 - corpus0) sh.sh_corpus in
       List.iter (fun s -> broadcast sh vt (Sample s)) (List.rev fresh)
     end
 
   (* One shard's window: apply inbound mail, then alternate the pure
-     scheduler core with effect processing until the barrier holds. *)
+     scheduler core with event processing until the barrier holds. *)
   let window_fn sh ~inbox ~until =
     List.iter (apply_envelope sh) inbox;
     let rec drive () =
       let stop = Osim.Sched.step_until ~outbox:sh.sh_outbox sh.sh_sched ~until in
-      List.iter (react_effect sh) (Osim.Sched.outbox_drain sh.sh_outbox);
+      List.iter (react sh) (Osim.Sched.outbox_drain sh.sh_outbox);
       match stop with
       | Osim.Sched.Backpressure -> drive ()
       | Osim.Sched.Barrier | Osim.Sched.Quiescent ->
@@ -652,76 +439,129 @@ module Sharded = struct
     { Osim.Cluster.wr_out = out;
       wr_done = Osim.Sched.quiescent sh.sh_sched }
 
+  (* ---------------------------------------------------------------- *)
+  (* Building and driving the community                                *)
+  (* ---------------------------------------------------------------- *)
+
+  (* Stamp out the community's hosts from a pool of templates: the full
+     MiniC load pipeline runs once per distinct layout seed, every other
+     host is a copy-on-write instantiation. A pool of [template_pool]
+     distinct ASLR draws preserves the population diversity that the
+     paper's ρ analysis needs; for n <= pool the per-host layouts are
+     exactly the per-host loads (template k carries seed + k). *)
+  let template_pool = 64
+
+  let make_hosts ~n ~producers ~seed compiled =
+    let pool = max 1 (min n template_pool) in
+    let templates =
+      Array.init pool (fun k ->
+          Osim.Process.template ~aslr:true ~seed:(seed + k) compiled)
+    in
+    List.init n (fun id ->
+        let proc = Osim.Process.instantiate templates.(id mod pool) in
+        let server = Osim.Server.create proc in
+        ignore (Osim.Server.run server);
+        {
+          h_id = id;
+          h_role = (if id < producers then Producer else Consumer);
+          h_proc = proc;
+          h_server = server;
+          h_infected = false;
+          h_deployed = 0;
+          h_installed = [];
+        })
+
+  let shard_infected sh =
+    List.length (List.filter (fun h -> h.h_infected) sh.sh_hosts)
+
+  (* The shard's registry: rejection reasons pre-registered (explicit
+     zeros), scheduler gauges, and the population-level counters as
+     pull-gauges. *)
+  let register_metrics sh =
+    let registry = sh.sh_metrics in
+    List.iter (fun r -> ignore (rejected_counter sh r)) reject_reasons;
+    Osim.Sched.register_metrics sh.sh_sched registry;
+    let g name help f =
+      Obs.Metrics.gauge_fn ~registry ~help name (fun () -> float_of_int (f ()))
+    in
+    g "sweeper_community_attempts" "deliveries attempted" (fun () ->
+        sh.sh_attempts);
+    g "sweeper_community_infections" "successful infections" (fun () ->
+        sh.sh_infections);
+    g "sweeper_community_crashes" "detections via lightweight monitoring"
+      (fun () -> sh.sh_crashes);
+    g "sweeper_community_blocked" "attacks stopped by antibodies" (fun () ->
+        sh.sh_blocked);
+    g "sweeper_community_analyses" "producer pipeline runs" (fun () ->
+        sh.sh_analyses);
+    g "sweeper_community_infected_hosts" "hosts currently infected" (fun () ->
+        shard_infected sh);
+    Obs.Metrics.gauge_fn ~registry
+      ~help:"virtual time of the first antibody (ms; -1 before one exists)"
+      "sweeper_community_first_antibody_ms" (fun () ->
+        Option.value ~default:(-1.) sh.sh_first_pub)
+
   (** Build a sharded community: hosts are created on the calling domain
       (template-pool instantiation), placed by [topology], and handed to
       per-shard defense states. [domains] only selects how many OCaml
       domains execute the fixed [shards] partition — it must never change
       results, which is exactly what the differential oracle checks. *)
-  let create ?(verify_before_deploy = false) ?quantum ?(domains = 1)
-      ?shards ?(window_ms = 0.5) ?(mailbox_limit = 4096)
-      ?(outbox_limit = 256) ?(template_pool = 64)
+  let create ?(verify_before_deploy = false) ?(domains = 1) ?shards
+      ?(window_ms = 0.5) ?(mailbox_limit = 4096) ?(outbox_limit = 256)
       ?(topology = Osim.Cluster.Uniform) ~app
       ~(compile : unit -> Minic.Codegen.compiled) ~n ~producers ~seed () =
     let shards = match shards with Some s -> max 1 s | None -> max 1 domains in
-    let compiled = compile () in
-    let all_hosts = make_hosts ~template_pool ~n ~producers ~seed compiled in
     let shard_hosts = Array.make shards [] in
     List.iter
       (fun h ->
         let s = Osim.Cluster.place topology ~shards ~host:h.h_id in
         shard_hosts.(s) <- h :: shard_hosts.(s))
-      all_hosts;
+      (make_hosts ~n ~producers ~seed (compile ()));
     let mk_shard sh_id =
-      let hosts = List.rev shard_hosts.(sh_id) in
-      let metrics = Obs.Metrics.create () in
-      let dfn =
-        {
-          app;
-          compile;
-          hosts;
-          antibody = None;
-          generation = 0;
-          corpus = [];
-          verify_before_deploy;
-          stats = fresh_stats ();
-          metrics;
-          infections = [];
-          ab_origin = None;
-          statics = None;
-        }
-      in
-      preregister_rejections dfn;
-      let sched = Osim.Sched.create ?quantum () in
-      Osim.Sched.register_metrics sched metrics;
-      register_metrics dfn metrics;
       let sh =
         {
           sh_id;
-          sh_dfn = dfn;
-          sh_sched = sched;
+          sh_shards = shards;
+          sh_app = app;
+          sh_compile = compile;
+          sh_verify = verify_before_deploy;
+          sh_hosts = List.rev shard_hosts.(sh_id);
+          sh_sched = Osim.Sched.create ();
           sh_outbox = Osim.Sched.make_outbox ~limit:outbox_limit ();
           sh_task_host = Hashtbl.create 64;
           sh_task_of = Hashtbl.create 64;
-          sh_metrics = metrics;
-          sh_rng = Random.State.make [| seed; 0x5A4D; sh_id |];
-          sh_shards = shards;
+          sh_metrics = Obs.Metrics.create ();
+          sh_antibody = None;
+          sh_generation = 0;
+          sh_corpus = [];
+          sh_statics = None;
+          sh_attempts = 0;
+          sh_infections = 0;
+          sh_crashes = 0;
+          sh_blocked = 0;
+          sh_analyses = 0;
+          sh_infection_log = [];
+          sh_ab_origin = None;
           sh_out_rev = [];
           sh_events_rev = [];
           sh_first_pub = None;
           sh_ab_prov = None;
         }
       in
+      register_metrics sh;
       List.iter
         (fun host ->
           let task =
-            Osim.Sched.add sched host.h_server
+            Osim.Sched.add sh.sh_sched host.h_server
               ~on_deliver:(fun _payload ->
-                dfn.stats.s_attempts <- dfn.stats.s_attempts + 1;
-                sync_antibody dfn host)
+                (* The moment a message reaches the host: the proxy syncs
+                   the newest antibody generation, the attempt counts. *)
+                sh.sh_attempts <- sh.sh_attempts + 1;
+                sync_antibody sh host)
           in
           Hashtbl.replace sh.sh_task_host task.Osim.Sched.sk_id host;
           Hashtbl.replace sh.sh_task_of host.h_id task)
-        hosts;
+        sh.sh_hosts;
       sh
     in
     {
@@ -733,24 +573,20 @@ module Sharded = struct
           max_windows = Osim.Cluster.default_config.Osim.Cluster.max_windows };
       c_topology = topology;
       c_n = n;
-      c_seed = seed;
       c_windows = 0;
       c_exchanged = 0;
       c_deferred = 0;
-      c_rounds = 0;
       c_merged = [];
       c_seqs = Hashtbl.create 64;
     }
 
   let hosts c =
     Array.to_list c.c_shards
-    |> List.concat_map (fun sh -> sh.sh_dfn.hosts)
+    |> List.concat_map (fun sh -> sh.sh_hosts)
     |> List.sort (fun a b -> compare a.h_id b.h_id)
 
   let infected_count c =
-    Array.fold_left
-      (fun acc sh -> acc + infected_count sh.sh_dfn)
-      0 c.c_shards
+    Array.fold_left (fun acc sh -> acc + shard_infected sh) 0 c.c_shards
 
   (* The next per-source sequence number. Counters advance on the
      calling domain in deterministic host order, so stamps are identical
@@ -781,7 +617,7 @@ module Sharded = struct
                   let seq = if src < 0 then 0 else next_seq c src in
                   Osim.Sched.post ~src ~seq sh.sh_sched task payload)
                 (traffic host))
-          sh.sh_dfn.hosts)
+          sh.sh_hosts)
       c.c_shards
 
   (** Queue one round of externally-injected traffic ([traffic host],
@@ -806,14 +642,42 @@ module Sharded = struct
             env_dst = sh.sh_id; env_msg = Antibody_pub (ab, None) })
       c.c_shards
 
+  (* The earliest locally-analyzed publication on any shard. *)
+  let first_antibody_vtime c =
+    Array.fold_left
+      (fun acc sh ->
+        match (acc, sh.sh_first_pub) with
+        | Some best, Some vt -> Some (Float.min best vt)
+        | None, pub -> pub
+        | acc, None -> acc)
+      None c.c_shards
+
   (* Merge every shard's registry into the community-level sample list —
      runs on the calling domain while the workers are parked at the
-     barrier, so reading gauge closures is race-free. *)
+     barrier, so reading gauge closures is race-free. Merging sums; the
+     two community clocks are not sums and are recomputed here: the
+     virtual clock is the latest shard clock, the first antibody the
+     earliest publication (-1 before one exists). *)
   let merge_metrics c =
+    let clock =
+      Array.fold_left
+        (fun acc sh -> Float.max acc (Osim.Sched.vclock_ms sh.sh_sched))
+        0. c.c_shards
+    in
+    let first_ab = Option.value ~default:(-1.) (first_antibody_vtime c) in
+    let at_barrier (s : Obs.Metrics.sample) =
+      match s.Obs.Metrics.s_name with
+      | "sweeper_sched_vclock_ms" ->
+        { s with Obs.Metrics.s_value = Obs.Metrics.Sample_gauge clock }
+      | "sweeper_community_first_antibody_ms" ->
+        { s with Obs.Metrics.s_value = Obs.Metrics.Sample_gauge first_ab }
+      | _ -> s
+    in
     c.c_merged <-
       Obs.Metrics.merge_samples
         (Array.to_list
            (Array.map (fun sh -> Obs.Metrics.snapshot sh.sh_metrics) c.c_shards))
+      |> List.map at_barrier
 
   (** Run the cluster until every shard is quiescent and no mail is in
       flight: one worm round, typically preceded by {!post_traffic}. *)
@@ -826,7 +690,6 @@ module Sharded = struct
     c.c_windows <- c.c_windows + stats.Osim.Cluster.st_windows;
     c.c_exchanged <- c.c_exchanged + stats.Osim.Cluster.st_exchanged;
     c.c_deferred <- c.c_deferred + stats.Osim.Cluster.st_deferred;
-    c.c_rounds <- c.c_rounds + 1;
     stats
 
   let merged_metrics c = c.c_merged
@@ -836,7 +699,7 @@ module Sharded = struct
       netlogs must reproduce exactly. *)
   let infection_log c =
     Array.to_list c.c_shards
-    |> List.concat_map (fun sh -> List.rev sh.sh_dfn.infections)
+    |> List.concat_map (fun sh -> List.rev sh.sh_infection_log)
     |> List.sort (fun a b ->
            match compare a.inf_arrival b.inf_arrival with
            | 0 -> compare a.inf_victim b.inf_victim
@@ -846,7 +709,7 @@ module Sharded = struct
       any shard recorded (local analysis or adopted broadcast). *)
   let antibody_origin c =
     Array.to_list c.c_shards
-    |> List.filter_map (fun sh -> sh.sh_dfn.ab_origin)
+    |> List.filter_map (fun sh -> sh.sh_ab_origin)
     |> List.fold_left
          (fun acc o ->
            match acc with
@@ -877,20 +740,13 @@ module Sharded = struct
       sm_deferred = c.c_deferred;
       sm_backpressures = sum (fun sh -> Osim.Sched.backpressures sh.sh_sched);
       sm_instructions = sum (fun sh -> Osim.Sched.instructions sh.sh_sched);
-      sm_attempts = sum (fun sh -> sh.sh_dfn.stats.s_attempts);
-      sm_infections = sum (fun sh -> sh.sh_dfn.stats.s_infections);
-      sm_crashes = sum (fun sh -> sh.sh_dfn.stats.s_crashes);
-      sm_blocked = sum (fun sh -> sh.sh_dfn.stats.s_blocked);
-      sm_analyses = sum (fun sh -> sh.sh_dfn.stats.s_analyses);
+      sm_attempts = sum (fun sh -> sh.sh_attempts);
+      sm_infections = sum (fun sh -> sh.sh_infections);
+      sm_crashes = sum (fun sh -> sh.sh_crashes);
+      sm_blocked = sum (fun sh -> sh.sh_blocked);
+      sm_analyses = sum (fun sh -> sh.sh_analyses);
       sm_infected_hosts = infected_count c;
-      sm_first_antibody_vtime_ms =
-        List.filter_map (fun sh -> sh.sh_first_pub) shs
-        |> List.fold_left
-             (fun acc vt ->
-               match acc with
-               | None -> Some vt
-               | Some best -> Some (min best vt))
-             None;
+      sm_first_antibody_vtime_ms = first_antibody_vtime c;
       sm_events = events;
       sm_icounts =
         per_host (fun h -> h.h_proc.Osim.Process.cpu.Vm.Cpu.icount);

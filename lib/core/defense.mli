@@ -8,11 +8,11 @@
     between the per-host machinery of {!Orchestrator} and the
     population-level claims of the epidemic model.
 
-    Community runs execute on the cooperative scheduler ({!Osim.Sched}):
-    hosts are tasks, traffic is posted to per-host inboxes, and service,
-    analysis, recovery, and antibody propagation interleave in simulated
-    time. The direct {!deliver} path shares the same reaction logic, so
-    serial and scheduled runs behave identically per host. *)
+    Every community runs on one engine, {!Sharded}: hosts are tasks on
+    per-shard cooperative schedulers ({!Osim.Sched}), traffic is posted to
+    per-host inboxes, and service, analysis, recovery, and antibody
+    propagation interleave in simulated time. One shard on one domain is
+    the serial reference run. *)
 
 type role = Producer | Consumer
 
@@ -24,15 +24,6 @@ type host = {
   mutable h_infected : bool;
   mutable h_deployed : int;  (** antibody generation installed *)
   mutable h_installed : Vsef.installed list;  (** currently-armed VSEFs *)
-}
-
-type stats = {
-  mutable s_attempts : int;
-  mutable s_infections : int;
-  mutable s_crashes : int;   (** detections via lightweight monitoring *)
-  mutable s_blocked : int;   (** stopped by antibodies *)
-  mutable s_analyses : int;  (** producer pipeline runs *)
-  mutable s_first_antibody_ms : float option;
 }
 
 (** One confirmed infection — the simulator's ground truth that forensic
@@ -59,107 +50,9 @@ type ab_origin = {
   ao_seq : int;     (** its sender-side sequence number *)
 }
 
-type t = {
-  app : string;
-  compile : unit -> Minic.Codegen.compiled;
-  hosts : host list;
-  mutable antibody : (int * Antibody.t) option;  (** generation, bundle *)
-  mutable generation : int;
-  mutable corpus : string list;
-      (** confirmed exploit payloads observed community-wide *)
-  verify_before_deploy : bool;
-  stats : stats;
-  metrics : Obs.Metrics.t;
-      (** the registry counters publish into — per-shard in sharded runs *)
-  mutable infections : infection list;
-      (** ground-truth infection log, newest first *)
-  mutable ab_origin : ab_origin option;
-      (** provenance of the first antibody (local analysis or adopted) *)
-  mutable statics : (Osim.Process.t * Static_an.Staint.t) option;
-      (** lazily-built reference copy of the application plus its static
-          taint analysis, for validating published antibodies (the
-          process carries its interval analysis in
-          [Osim.Process.absint]); fixed-seed, so all shards agree *)
-}
-
-val create :
-  ?verify_before_deploy:bool ->
-  ?metrics:Obs.Metrics.t ->
-  ?template_pool:int ->
-  app:string ->
-  compile:(unit -> Minic.Codegen.compiled) ->
-  n:int ->
-  producers:int ->
-  seed:int ->
-  unit ->
-  t
-(** A community of [n] hosts; the first [producers] run the full stack.
-    Every host gets an independent randomized layout derived from [seed].
-    Hosts are instantiated from a pool of [template_pool] pre-loaded
-    {!Osim.Process.template}s (one full load pipeline per distinct layout
-    seed, then copy-on-write clones), which keeps per-host creation cost
-    flat at large [n] while matching the per-seed load exactly. *)
-
-val publish : t -> Antibody.t -> bool
-(** Publish an antibody — after validation. Two static bars always
-    apply: every [Heap_bounds]/[Store_guard] pc must be a statically
-    feasible unsafe write ({!Antibody.validate_feasible}) and every
-    taint-filter pc must lie in the static may-propagate set
-    ({!Antibody.validate_static}); with [verify_before_deploy] the
-    bundle is additionally sandbox-verified by exploit replay. Returns
-    acceptance; rejections count in [sweeper_antibody_rejected_total]
-    with a [reason] label (["static-infeasible"], ["pcs-outside-S"],
-    ["replay-failed"]). *)
-
-val record_exploit_sample : t -> string -> unit
-(** Record a confirmed exploit payload (the original crash input or a
-    VSEF-blocked variant). With two or more distinct samples the signature
-    is refined from exact-match to a token signature covering the family,
-    and the antibody is republished. Refinement saturates after a small
-    corpus cap — token signatures converge within a handful of diverse
-    variants, and refining on every variant of a large outbreak would
-    redeploy VSEFs community-wide O(n^2) times. *)
-
-type delivery =
-  | Served
-  | Blocked of string      (** input filter or VSEF stopped it *)
-  | Detected_and_analyzed  (** producer ran the pipeline; antibody published *)
-  | Crashed_consumer       (** consumer detected the attack; recovered only *)
-  | Infected of string
-
-val deliver : t -> host -> string -> delivery
-(** Deliver one message to one host, with the full community behaviour:
-    antibody sync, producer-side analysis on detection, consumer-side
-    rollback recovery. *)
-
-val run_scheduled :
-  ?quantum:int -> t -> traffic:(host -> string list) -> Osim.Sched.t
-(** Run traffic through the cooperative scheduler: every uninfected host
-    becomes a task, [traffic] fills its inbox, and service, crashes,
-    producer analysis, recovery, and antibody propagation interleave in
-    simulated time until quiescent. Returns the scheduler for inspection
-    (virtual clock, instruction counts). *)
-
-val worm_round : ?quantum:int -> t -> exploit_for:(host -> string list) -> unit
-(** The worm attacks every uninfected host once; [exploit_for] builds the
-    per-host attack stream (fresh address guess per host). The round's
-    deliveries run interleaved on the scheduler. *)
-
-val infected_count : t -> int
-
-val register_metrics : t -> Obs.Metrics.t -> unit
-(** Register the community's population-level statistics (attempts,
-    infections, detections, blocked attacks, analyses, first-antibody
-    latency) as pull-gauges in a metrics registry. *)
-
-val infection_ratio : t -> float
-
-val all_alive : t -> bool
-(** Every uninfected host still answers a trivial request. *)
-
 (** The domain-sharded community: hosts partitioned across shards, each
-    shard a single-threaded {!Osim.Sched} with its own PRNG stream and
-    {!Obs.Metrics} registry, executed in lockstep windows by
+    shard a single-threaded {!Osim.Sched} with its own {!Obs.Metrics}
+    registry, executed in lockstep windows by
     {!Osim.Cluster}. Antibody knowledge crosses shards only as envelope
     values at virtual-clock barriers, so [domains = N] and [domains = 1]
     are bit-identical on everything in {!Sharded.summary} — the
@@ -178,13 +71,11 @@ module Sharded : sig
 
   val create :
     ?verify_before_deploy:bool ->
-    ?quantum:int ->
     ?domains:int ->
     ?shards:int ->
     ?window_ms:float ->
     ?mailbox_limit:int ->
     ?outbox_limit:int ->
-    ?template_pool:int ->
     ?topology:Osim.Cluster.topology ->
     app:string ->
     compile:(unit -> Minic.Codegen.compiled) ->
@@ -195,8 +86,20 @@ module Sharded : sig
     community
   (** Build [n] hosts on the calling domain (the first [producers] by
       global id run the full stack), place them by [topology], and wire
-      per-shard schedulers. [shards] defaults to [domains]; fixing
-      [shards] while varying [domains] must not change any result. *)
+      per-shard schedulers. Hosts are copy-on-write instances of up to 64
+      layout templates (template [k] is loaded with seed [seed + k]),
+      which keeps per-host creation cost flat at large [n]. [shards]
+      defaults to [domains]; fixing [shards] while varying [domains] must
+      not change any result.
+
+      Every antibody a shard publishes or adopts is validated first. Two
+      static bars always apply: every [Heap_bounds]/[Store_guard] pc must
+      be a statically feasible unsafe write, and every taint-filter pc
+      must lie in the static may-propagate set S. With
+      [verify_before_deploy] the bundle is also sandbox-verified by
+      exploit replay. Rejections count in
+      [sweeper_antibody_rejected_total] by [reason]
+      (["static-infeasible"], ["pcs-outside-S"], ["replay-failed"]). *)
 
   val hosts : community -> host list
   (** All hosts, sorted by global id. *)
@@ -228,7 +131,10 @@ module Sharded : sig
 
   val merged_metrics : community -> Obs.Metrics.sample list
   (** The community-level metric samples merged from every shard's
-      registry at the most recent barrier. *)
+      registry at the most recent barrier. Counters and gauges sum across
+      shards, except the two clocks: [sweeper_sched_vclock_ms] is the
+      latest shard clock and [sweeper_community_first_antibody_ms] is
+      [sm_first_antibody_vtime_ms] (-1 before an antibody exists). *)
 
   (** Everything the differential oracle compares, plus run statistics.
       All times are virtual (simulated ms); wall-clock never appears. *)

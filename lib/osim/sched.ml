@@ -18,13 +18,11 @@
     per-turn scan of the whole task list.
 
     The scheduler itself is policy-free: crashes, infections, and vetoes
-    raised by monitoring hooks are surfaced as events to a driver callback
-    (see {!Sweeper.Defense}), which may repair the host and {!unpark} it.
-    For the domain-sharded community the same events can instead be
-    {e reified}: {!step_until} runs the core loop up to a virtual-time
-    barrier and appends every event to a bounded {!outbox}, so a cluster
-    driver applies cross-host effects between windows rather than inline
-    (see {!Cluster}). *)
+    raised by monitoring hooks park the task. {!step_until} runs the core
+    loop up to a virtual-time barrier and {e reifies} every event into a
+    bounded {!outbox}; the driver ({!Sweeper.Defense.Sharded}) drains it
+    between runs, repairs hosts and {!unpark}s them, and applies
+    cross-host effects at cluster barriers (see {!Cluster}). *)
 
 type event =
   | Filtered of string * string
@@ -334,7 +332,7 @@ let close_span ~outcome task =
 
 (* Move inbox messages into the network log until one is admitted (filters
    reject at delivery time, like a drop at the proxy). *)
-let rec deliver t handler task =
+let rec deliver t emit task =
   match pop_inbox task with
   | None -> ()
   | Some { ml_src = src; ml_seq = seq; ml_payload = payload } -> (
@@ -344,8 +342,8 @@ let rec deliver t handler task =
         task.sk_server.Server.proc payload
     with
     | Error filter ->
-      handler task (Filtered (filter, payload));
-      deliver t handler task
+      emit task (Filtered (filter, payload));
+      deliver t emit task
     | Ok id ->
       task.sk_pending <- Some id;
       task.sk_delivered <- task.sk_delivered + 1;
@@ -365,12 +363,12 @@ let rec deliver t handler task =
       task.sk_state <- Runnable;
       ready t task)
 
-let drain_pending t handler =
+let drain_pending t emit =
   while not (Queue.is_empty t.pending) do
     let task = Queue.pop t.pending in
     task.sk_queued <- false;
     if task.sk_state = Waiting && not (inbox_empty task) then
-      deliver t handler task
+      deliver t emit task
   done
 
 let account t task before =
@@ -381,13 +379,13 @@ let account t task before =
     /. float_of_int Server.instrs_per_ms;
   if task.sk_vtime_ms > t.vclock_ms then t.vclock_ms <- task.sk_vtime_ms
 
-let step_task t handler task =
+let step_task t emit task =
   let before = task.sk_server.Server.proc.Process.cpu.Vm.Cpu.icount in
   let park ev =
     t.parks <- t.parks + 1;
     close_span ~outcome:(event_outcome ev) task;
     task.sk_state <- Parked ev;
-    handler task ev
+    emit task ev
   in
   (match Server.step ~fuel:t.quantum task.sk_server with
   | exception e ->
@@ -405,14 +403,10 @@ let step_task t handler task =
         task.sk_pending <- None;
         task.sk_served <- task.sk_served + 1;
         close_span ~outcome:"served" task;
-        handler task (Served id)
+        emit task (Served id)
       | None -> ());
-      (* Only downgrade to Waiting if the handler (on Served) did not
-         already repark or otherwise move the task. *)
-      if task.sk_state = Runnable then begin
-        task.sk_state <- Waiting;
-        deliver t handler task
-      end
+      task.sk_state <- Waiting;
+      deliver t emit task
     | Server.Ended Server.Stopped -> park Stopped
     | Server.Ended (Server.Crashed f) -> park (Crashed f)
     | Server.Ended (Server.Infected cmd) -> park (Infected cmd)))
@@ -428,21 +422,20 @@ let quiescent t = Queue.is_empty t.pending && peek_runnable t = None
 
 (** The pure driver core: run turns while some runnable task is behind the
     virtual-time barrier [until], reifying every event into [outbox] (when
-    given) as well as passing it to [handler]. Stops at the first of: all
-    runnable tasks at/past the barrier ([Barrier]), nothing left to do
-    ([Quiescent]), or the outbox reaching its bound ([Backpressure] — no
-    event is ever dropped; drain and call again). With
-    [until = infinity] and no outbox this is exactly {!run}. *)
-let step_until ?(handler = fun _ _ -> ()) ?outbox t ~until =
+    given). Stops at the first of: all runnable tasks at/past the barrier
+    ([Barrier]), nothing left to do ([Quiescent]), or the outbox reaching
+    its bound ([Backpressure] — no event is ever dropped; drain and call
+    again). With [until = infinity] and no outbox this is exactly
+    {!run}. *)
+let step_until ?outbox t ~until =
   let emit task ev =
-    (match outbox with
+    match outbox with
     | Some ob ->
       ob.ob_rev <-
         { fx_vtime = task.sk_vtime_ms; fx_task = task; fx_event = ev }
         :: ob.ob_rev;
       ob.ob_len <- ob.ob_len + 1
-    | None -> ());
-    handler task ev
+    | None -> ()
   in
   let full () =
     match outbox with Some ob -> ob.ob_len >= ob.ob_limit | None -> false
@@ -465,9 +458,8 @@ let step_until ?(handler = fun _ _ -> ()) ?outbox t ~until =
   loop ()
 
 (** Run until quiescent: no task is runnable and no waiting task has mail.
-    Parked tasks stay parked unless the [handler] repairs and unparks
-    them; their remaining inbox is simply never delivered. *)
-let run ?(handler = fun _ _ -> ()) t =
-  match step_until ~handler t ~until:infinity with
+    Parked tasks stay parked; their remaining inbox is never delivered. *)
+let run t =
+  match step_until t ~until:infinity with
   | Quiescent -> ()
   | Barrier | Backpressure -> assert false (* no barrier, no outbox *)

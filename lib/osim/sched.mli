@@ -15,11 +15,11 @@
     being found by scanning.
 
     The scheduler is policy-free: crashes, infections, and exceptions
-    raised by monitoring hooks (VSEF vetoes) park the task and surface as
-    events to the driver's handler, which may repair the host and
-    {!unpark} it. {!step_until} additionally reifies the event stream into
-    a bounded {!outbox} and stops at a virtual-time barrier — the building
-    block the domain-sharded community ({!Cluster}) drives windows with. *)
+    raised by monitoring hooks (VSEF vetoes) park the task. {!step_until}
+    reifies the event stream into a bounded {!outbox} and stops at a
+    virtual-time barrier; the driver drains the outbox, may repair a
+    host and {!unpark} it — the building block the domain-sharded
+    community ({!Cluster}) drives windows with. *)
 
 type event =
   | Filtered of string * string
@@ -85,9 +85,10 @@ val unpark : t -> task -> unit
     (e.g. rollback recovery). The host must be serviceable again, or the
     task will immediately park on the same condition. *)
 
-val run : ?handler:(task -> event -> unit) -> t -> unit
+val run : t -> unit
 (** Run until quiescent: no task runnable, no waiting task with mail.
-    [handler] observes every event and may call {!post} and {!unpark}. *)
+    Events are discarded and parked tasks stay parked; drivers that react
+    to events use {!step_until} with an {!outbox}. *)
 
 (** {1 Reified driving — the sharded-community core} *)
 
@@ -114,13 +115,11 @@ type stop =
   | Quiescent     (** nothing runnable, no waiting task has mail *)
   | Backpressure  (** the outbox hit its bound; drain it and resume *)
 
-val step_until :
-  ?handler:(task -> event -> unit) -> ?outbox:outbox -> t -> until:float ->
-  stop
+val step_until : ?outbox:outbox -> t -> until:float -> stop
 (** The pure driver core: run turns while some runnable task is behind
     the virtual-time barrier [until] (simulated ms), appending every
-    event to [outbox] (when given) as well as invoking [handler].
-    [run] is [step_until ~until:infinity] without an outbox. *)
+    event to [outbox] (when given). [run] is [step_until ~until:infinity]
+    without an outbox. *)
 
 val has_runnable_before : t -> until:float -> bool
 (** Would {!step_until} with this barrier make progress right now? (True

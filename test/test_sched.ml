@@ -56,7 +56,8 @@ let run_sequential streams =
       observe proc server ~served:!served)
     streams
 
-(* Same servers, same streams, interleaved on the scheduler. *)
+(* Same servers, same streams, interleaved on the scheduler. Benign
+   traffic never parks a task. *)
 let run_interleaved ?quantum streams =
   let sched = Osim.Sched.create ?quantum () in
   let hosts =
@@ -68,12 +69,8 @@ let run_interleaved ?quantum streams =
         (proc, server, task))
       streams
   in
-  Osim.Sched.run sched ~handler:(fun task ev ->
-      match ev with
-      | Osim.Sched.Served _ -> ()
-      | Osim.Sched.Crashed _ ->
-        Alcotest.failf "host %d crashed on benign traffic" task.Osim.Sched.sk_id
-      | _ -> Alcotest.failf "host %d: unexpected event" task.Osim.Sched.sk_id);
+  Osim.Sched.run sched;
+  check_int "no task parked" 0 (Osim.Sched.parks sched);
   List.map
     (fun (proc, server, task) ->
       observe proc server ~served:task.Osim.Sched.sk_served)
@@ -122,9 +119,12 @@ let test_virtual_clock_advances () =
 
 (* ------------------------------------------------------------------ *)
 (* Mid-stream attack: one host is exploited while the others serve     *)
-(* benign traffic; the scheduled community must end in the same state  *)
-(* as delivering every stream sequentially.                            *)
+(* benign traffic; every host of the community must end in the same   *)
+(* state as serving its stream alone, through the full protected       *)
+(* pipeline, at the same layout seed.                                  *)
 (* ------------------------------------------------------------------ *)
+
+module Sh = Sweeper.Defense.Sharded
 
 let benign = workload 3
 
@@ -134,47 +134,51 @@ let attack_stream =
       .Apps.Exploits.x_messages
   @ workload 2
 
-let traffic (h : Sweeper.Defense.host) =
-  if h.Sweeper.Defense.h_id = 0 then attack_stream else benign
+let stream_of id = if id = 0 then attack_stream else benign
 
-let make_community () =
-  let entry = Apps.Registry.find "apache1" in
-  Sweeper.Defense.create ~app:"apache1" ~compile:entry.r_compile ~n:3
-    ~producers:1 ~seed:8100 ()
-
-let host_outputs (c : Sweeper.Defense.t) =
-  List.map
-    (fun (h : Sweeper.Defense.host) ->
-      Osim.Process.committed_outputs h.Sweeper.Defense.h_proc)
-    c.Sweeper.Defense.hosts
+(* A host still answers a trivial request. *)
+let serves (h : Sweeper.Defense.host) =
+  match Osim.Server.handle h.Sweeper.Defense.h_server "noop" with
+  | `Served _ | `Stopped -> true
+  | `Filtered _ | `Crashed _ | `Infected _ -> false
 
 let test_mid_stream_attack_matches_sequential () =
-  let open Sweeper.Defense in
-  let seq = make_community () in
-  List.iter
-    (fun h -> List.iter (fun m -> ignore (deliver seq h m)) (traffic h))
-    seq.hosts;
-  let sch = make_community () in
-  ignore (run_scheduled ~quantum:700 sch ~traffic);
-  check_int "nobody infected (sequential)" 0 (infected_count seq);
-  check_int "nobody infected (scheduled)" 0 (infected_count sch);
-  check_bool "identical per-host outputs" true
-    (host_outputs seq = host_outputs sch);
-  check_int "same attempts" seq.stats.s_attempts sch.stats.s_attempts;
-  check_int "same crashes" seq.stats.s_crashes sch.stats.s_crashes;
-  check_int "same analyses" seq.stats.s_analyses sch.stats.s_analyses;
-  check_int "same blocked" seq.stats.s_blocked sch.stats.s_blocked;
-  check_int "same infections" seq.stats.s_infections sch.stats.s_infections;
-  (match (seq.antibody, sch.antibody) with
-  | Some (g1, a1), Some (g2, a2) ->
-    check_int "same antibody generation" g1 g2;
-    check_bool "same signature" true
-      (a1.Sweeper.Antibody.ab_signature = a2.Sweeper.Antibody.ab_signature);
-    check_int "same vsef count"
-      (List.length a1.Sweeper.Antibody.ab_vsefs)
-      (List.length a2.Sweeper.Antibody.ab_vsefs)
-  | _ -> Alcotest.fail "both runs must publish an antibody");
-  check_bool "scheduled community still serves" true (all_alive sch)
+  let seed = 8100 in
+  let entry = Apps.Registry.find "apache1" in
+  let c =
+    Sh.create ~app:"apache1" ~compile:entry.r_compile ~n:3 ~producers:1 ~seed
+      ()
+  in
+  Sh.post_traffic c ~traffic:(fun h -> stream_of h.Sweeper.Defense.h_id);
+  ignore (Sh.run_round c);
+  let s = Sh.summary c in
+  (* The reference: host [id] alone at template seed [seed + id]. *)
+  let attacks = ref 0 and blocked = ref 0 and compromised = ref 0 in
+  let reference id =
+    let proc, server = boot (seed + id) in
+    List.iter
+      (fun m ->
+        match Sweeper.Orchestrator.protected_handle ~app:"apache1" server m with
+        | `Attack _ -> incr attacks
+        | `Blocked_by_vsef _ | `Filtered _ -> incr blocked
+        | `Compromised -> incr compromised
+        | `Served _ | `Stopped -> ())
+      (stream_of id);
+    (id, Osim.Process.committed_outputs proc)
+  in
+  let outputs = List.init 3 reference in
+  check_int "nobody infected" 0 s.Sh.sm_infected_hosts;
+  check_bool "identical per-host outputs" true (outputs = s.Sh.sm_outputs);
+  check_int "every message attempted"
+    (List.length attack_stream + (2 * List.length benign))
+    s.Sh.sm_attempts;
+  check_int "same crashes" !attacks s.Sh.sm_crashes;
+  check_int "same analyses" !attacks s.Sh.sm_analyses;
+  check_int "same blocked" !blocked s.Sh.sm_blocked;
+  check_int "same infections" !compromised s.Sh.sm_infections;
+  check_bool "antibody published" true
+    (s.Sh.sm_first_antibody_vtime_ms <> None);
+  check_bool "community still serves" true (List.for_all serves (Sh.hosts c))
 
 (* ------------------------------------------------------------------ *)
 
@@ -192,8 +196,6 @@ let prop_interleaving_is_invisible =
 (* icounts, the infection/crash event log, and the first-antibody      *)
 (* virtual time. This is the differential oracle for Osim.Cluster.     *)
 (* ------------------------------------------------------------------ *)
-
-module Sh = Sweeper.Defense.Sharded
 
 (* Attack bytes as a pure function of (seed, host, round): both runs of
    an oracle pair see byte-identical traffic regardless of sharding. *)
@@ -271,45 +273,101 @@ let test_backpressure_and_mailbox_bounds () =
   check_bool "run reached quiescence with bounds" true (tight.Sh.sm_windows > 0);
   check_bool "oracle holds under tight bounds" true (oracle_agrees tight (go 2))
 
-(* The supply-chain surface: a malicious producer broadcasts a
-   fabricated antibody whose Store_guard points at a statically
-   proven-safe store — no CFG-following execution can overflow there, so
-   every shard's publication validation must reject it (the
-   static-infeasible bar), counted and logged per shard; a legitimately
-   analyzed bundle from real attack traffic must still be adopted. *)
+(* A merged sample's value, by metric name and labels. *)
+let merged_value c ?(labels = []) name =
+  List.find_map
+    (fun (m : Obs.Metrics.sample) ->
+      if m.Obs.Metrics.s_name = name && m.Obs.Metrics.s_labels = labels then
+        match m.Obs.Metrics.s_value with
+        | Obs.Metrics.Sample_counter n -> Some (float_of_int n)
+        | Obs.Metrics.Sample_gauge v -> Some v
+        | Obs.Metrics.Sample_histogram _ -> None
+      else None)
+    (Sh.merged_metrics c)
+
+(* Merging sums per-shard registries, but the two community clocks are
+   not sums: on 4 shards the merged virtual clock is the latest shard
+   clock (after benign traffic, the furthest any host got) and the
+   first-antibody gauge is the summary's first publication vtime. *)
+let test_merged_clock_gauges () =
+  let entry = Apps.Registry.find "apache1" in
+  let c =
+    Sh.create ~shards:4 ~topology:Osim.Cluster.Uniform ~app:"apache1"
+      ~compile:entry.r_compile ~n:16 ~producers:2 ~seed:4242 ()
+  in
+  let icount (h : Sweeper.Defense.host) =
+    h.Sweeper.Defense.h_proc.Osim.Process.cpu.Vm.Cpu.icount
+  in
+  let hosts = Sh.hosts c in
+  let booted = List.map icount hosts in
+  Sh.post_traffic c ~traffic:(fun _ -> workload 3);
+  ignore (Sh.run_round c);
+  let latest =
+    List.fold_left2
+      (fun acc h i0 ->
+        Float.max acc
+          (float_of_int (icount h - i0) /. float_of_int Osim.Server.instrs_per_ms))
+      0. hosts booted
+  in
+  let gauge = Alcotest.(option (float 0.)) in
+  check gauge "clock = latest host clock" (Some latest)
+    (merged_value c "sweeper_sched_vclock_ms");
+  check gauge "no antibody yet" (Some (-1.))
+    (merged_value c "sweeper_community_first_antibody_ms");
+  Sh.post_traffic c ~traffic:(attack_for ~seed:4242 ~round:1);
+  ignore (Sh.run_round c);
+  let first = (Sh.summary c).Sh.sm_first_antibody_vtime_ms in
+  check_bool "antibody published" true (first <> None);
+  check gauge "first antibody = summary vtime" first
+    (merged_value c "sweeper_community_first_antibody_ms")
+
+(* The supply-chain surface: a malicious producer broadcasts fabricated
+   antibodies, one per rejection bar. Every shard's publication
+   validation must reject each under its own reason, counted and logged
+   per shard; a legitimately analyzed bundle from real attack traffic
+   must still be adopted.
+   - static-infeasible: a Store_guard at a statically proven-safe store,
+     where no CFG-following execution can overflow;
+   - pcs-outside-S: a Taint_filter propagating at a pc outside the
+     static may-propagate set S;
+   - replay-failed: a bundle whose "exploit" is an innocent request,
+     which sandbox verification (on) replays without a fault. *)
 let test_malicious_antibody_round () =
   let entry = Apps.Registry.find "apache1" in
   let c =
-    Sh.create ~domains:1 ~shards:2 ~topology:Osim.Cluster.Uniform
-      ~app:"apache1" ~compile:entry.r_compile ~n:6 ~producers:1 ~seed:4242 ()
+    Sh.create ~verify_before_deploy:true ~domains:1 ~shards:2
+      ~topology:Osim.Cluster.Uniform ~app:"apache1" ~compile:entry.r_compile
+      ~n:6 ~producers:1 ~seed:4242 ()
   in
-  (* Fabricate against a reference copy: pick the first proven-safe
-     access, the one kind of pc an honest overflow analysis can never
-     emit a store guard for. *)
+  (* Fabricate against a reference copy. *)
   let proc = Osim.Process.load ~aslr:true ~seed:97 (entry.r_compile ()) in
   let ai = proc.Osim.Process.absint in
-  let safe_pc = ref None in
-  Static_an.Absint.iter_accesses ai (fun pc cls ->
-      match (cls, !safe_pc) with
-      | Static_an.Absint.Proven _, None -> safe_pc := Some pc
-      | _ -> ());
-  let safe_pc =
-    match !safe_pc with
-    | Some pc -> pc
-    | None -> Alcotest.fail "no proven-safe access in apache1"
+  let staint = Static_an.Staint.analyze proc.Osim.Process.cpu.Vm.Cpu.code in
+  let first_access p =
+    let found = ref None in
+    Static_an.Absint.iter_accesses ai (fun pc cls ->
+        if !found = None && p pc cls then found := Some pc);
+    match !found with
+    | Some pc -> Sweeper.Vsef.loc_of_pc proc pc
+    | None -> Alcotest.fail "no suitable access in apache1"
   in
-  let fake =
+  let safe_store =
+    first_access (fun _ cls ->
+        match cls with Static_an.Absint.Proven _ -> true | _ -> false)
+  in
+  let outside_s =
+    first_access (fun pc _ -> not (Static_an.Staint.may_propagate staint pc))
+  in
+  let fabricated name check =
     {
       Sweeper.Antibody.ab_app = "apache1";
       ab_stage = Sweeper.Antibody.Refined;
       ab_vsefs =
         [
           {
-            Sweeper.Vsef.v_name = "fabricated-store-guard";
+            Sweeper.Vsef.v_name = name;
             v_app = "apache1";
-            v_check =
-              Sweeper.Vsef.Store_guard
-                { store = Sweeper.Vsef.loc_of_pc proc safe_pc };
+            v_check = check;
             v_origin = Sweeper.Vsef.From_membug;
           };
         ];
@@ -317,34 +375,47 @@ let test_malicious_antibody_round () =
       ab_exploit_input = None;
     }
   in
-  Sh.inject_antibody c fake;
+  let bundles =
+    [
+      ( "static-infeasible",
+        fabricated "fabricated-store-guard"
+          (Sweeper.Vsef.Store_guard { store = safe_store }) );
+      ( "pcs-outside-S",
+        fabricated "fabricated-taint-filter"
+          (Sweeper.Vsef.Taint_filter
+             { source_sysno = 0; prop = [ outside_s ]; sink = outside_s }) );
+      ( "replay-failed",
+        {
+          Sweeper.Antibody.ab_app = "apache1";
+          ab_stage = Sweeper.Antibody.Full;
+          ab_vsefs = [];
+          ab_signature = None;
+          ab_exploit_input = Some [ "GET /innocent\n" ];
+        } );
+    ]
+  in
+  List.iter (fun (_, ab) -> Sh.inject_antibody c ab) bundles;
   ignore (Sh.run_round c);
   let s = Sh.summary c in
   let rejections =
     List.filter (fun (_, _, kind) -> kind = "antibody-rejected") s.Sh.sm_events
   in
-  check_int "rejected on every shard" 2 (List.length rejections);
-  check_bool "no shard adopted the fabrication" true (s.Sh.sm_adoptions = []);
+  check_int "each bundle rejected on every shard" 6 (List.length rejections);
+  check_bool "no shard adopted a fabrication" true (s.Sh.sm_adoptions = []);
   check_bool "no antibody installed anywhere" true
     (s.Sh.sm_first_antibody_vtime_ms = None);
-  let infeasible =
-    List.find_map
-      (fun (m : Obs.Metrics.sample) ->
-        if
-          m.Obs.Metrics.s_name = "sweeper_antibody_rejected_total"
-          && m.Obs.Metrics.s_labels = [ ("reason", "static-infeasible") ]
-        then
-          match m.Obs.Metrics.s_value with
-          | Obs.Metrics.Sample_counter n -> Some n
-          | _ -> None
-        else None)
-      (Sh.merged_metrics c)
-  in
-  check_bool "static-infeasible counter = one per shard" true
-    (infeasible = Some 2);
-  (* A real attack round on the same community must still mint and adopt
-     a legitimate antibody — the rejection bar is not a denial of
-     service. *)
+  List.iter
+    (fun (reason, _) ->
+      check
+        Alcotest.(option (float 0.))
+        (reason ^ " counter = one per shard")
+        (Some 2.)
+        (merged_value c ~labels:[ ("reason", reason) ]
+           "sweeper_antibody_rejected_total"))
+    bundles;
+  (* A real attack round on the same community must still mint, verify
+     and adopt a legitimate antibody — the rejection bars are not a
+     denial of service. *)
   Sh.post_traffic c ~traffic:(fun h ->
       workload 2 @ attack_for ~seed:4242 ~round:1 h @ workload 1);
   ignore (Sh.run_round c);
@@ -387,6 +458,8 @@ let () =
             test_backpressure_and_mailbox_bounds;
           Alcotest.test_case "malicious antibody rejected, legitimate adopted"
             `Quick test_malicious_antibody_round;
+          Alcotest.test_case "merged clock gauges are not sums" `Quick
+            test_merged_clock_gauges;
           qt prop_sharded_oracle;
         ] );
     ]

@@ -756,8 +756,9 @@ let test_forward_slice_from_input () =
 (* Community defense (mechanical)                                      *)
 (* ------------------------------------------------------------------ *)
 
-let community_exploit_for rng (host : Sweeper.Defense.host) =
-  ignore host;
+module Sh = Sweeper.Defense.Sharded
+
+let community_exploit_for rng (_ : Sweeper.Defense.host) =
   let slide_guess = Random.State.int rng 4096 * 4096 in
   let exploit =
     Apps.Exploits.apache1_against
@@ -766,44 +767,54 @@ let community_exploit_for rng (host : Sweeper.Defense.host) =
   in
   exploit.Apps.Exploits.x_messages
 
+(* [rounds] worm rounds: every uninfected host is attacked once per
+   round with a fresh address guess. *)
+let attack_rounds c ~rng ~rounds =
+  for _round = 1 to rounds do
+    Sh.post_traffic c ~traffic:(community_exploit_for rng);
+    ignore (Sh.run_round c)
+  done;
+  Sh.summary c
+
+(* Every uninfected host still answers a trivial request. *)
+let all_alive c =
+  List.for_all
+    (fun (h : Sweeper.Defense.host) ->
+      h.Sweeper.Defense.h_infected
+      ||
+      match Osim.Server.handle h.Sweeper.Defense.h_server "noop" with
+      | `Served _ | `Stopped -> true
+      | `Filtered _ | `Crashed _ | `Infected _ -> false)
+    (Sh.hosts c)
+
+let count_events s kind =
+  List.length (List.filter (fun (_, _, k) -> k = kind) s.Sh.sm_events)
+
 let test_defense_community_contains_worm () =
   let entry = Apps.Registry.find "apache1" in
-  let community =
-    Sweeper.Defense.create ~app:"apache1" ~compile:entry.r_compile ~n:10
-      ~producers:2 ~seed:7000 ()
+  let c =
+    Sh.create ~app:"apache1" ~compile:entry.r_compile ~n:10 ~producers:2
+      ~seed:7000 ()
   in
-  let rng = Random.State.make [| 99 |] in
-  for _round = 1 to 3 do
-    Sweeper.Defense.worm_round community
-      ~exploit_for:(community_exploit_for rng)
-  done;
-  check_int "nobody infected" 0 (Sweeper.Defense.infected_count community);
-  check_bool "antibody was produced" true (community.Sweeper.Defense.antibody <> None);
-  check_bool "attacks were blocked" true
-    (community.Sweeper.Defense.stats.Sweeper.Defense.s_blocked > 0);
-  check_bool "community still serves" true (Sweeper.Defense.all_alive community)
+  let s = attack_rounds c ~rng:(Random.State.make [| 99 |]) ~rounds:3 in
+  check_int "nobody infected" 0 s.Sh.sm_infected_hosts;
+  check_bool "antibody was produced" true
+    (s.Sh.sm_first_antibody_vtime_ms <> None);
+  check_bool "attacks were blocked" true (s.Sh.sm_blocked > 0);
+  check_bool "community still serves" true (all_alive c)
 
 let test_defense_verification_path () =
+  (* Consumers that distrust producers replay the bundle's exploit in a
+     sandbox before deploying it; a genuinely analyzed antibody passes. *)
   let entry = Apps.Registry.find "apache1" in
-  let community =
-    Sweeper.Defense.create ~verify_before_deploy:true ~app:"apache1"
+  let c =
+    Sh.create ~verify_before_deploy:true ~app:"apache1"
       ~compile:entry.r_compile ~n:4 ~producers:1 ~seed:7100 ()
   in
-  let rng = Random.State.make [| 7 |] in
-  Sweeper.Defense.worm_round community ~exploit_for:(community_exploit_for rng);
+  let s = attack_rounds c ~rng:(Random.State.make [| 7 |]) ~rounds:1 in
   check_bool "verified antibody accepted" true
-    (community.Sweeper.Defense.antibody <> None);
-  (* A bogus antibody is rejected by the verification gate. *)
-  let bogus =
-    {
-      Sweeper.Antibody.ab_app = "apache1";
-      ab_stage = Sweeper.Antibody.Full;
-      ab_vsefs = [];
-      ab_signature = None;
-      ab_exploit_input = Some [ "GET /innocent\n" ];
-    }
-  in
-  check_bool "bogus rejected" false (Sweeper.Defense.publish community bogus)
+    (s.Sh.sm_first_antibody_vtime_ms <> None);
+  check_int "nothing rejected" 0 (count_events s "antibody-rejected")
 
 let test_defense_signature_refinement () =
   (* Wave 1: canonical exploit -> analysis, exact signature. Wave 2: a
@@ -811,11 +822,10 @@ let test_defense_signature_refinement () =
      the confirmed sample refines the signature into a token signature.
      Wave 3: a third, fresh variant is now filtered at the proxy. *)
   let entry = Apps.Registry.find "squid" in
-  let community =
-    Sweeper.Defense.create ~app:"squid" ~compile:entry.r_compile ~n:1
-      ~producers:1 ~seed:7300 ()
+  let c =
+    Sh.create ~app:"squid" ~compile:entry.r_compile ~n:1 ~producers:1
+      ~seed:7300 ()
   in
-  let host = List.hd community.Sweeper.Defense.hosts in
   (* Waves 0 and 1 differ in payload characters, so the common tokens are
      the structural parts ("GET ftp://", the host suffix); wave 2 then
      varies only the length and must match the token signature. *)
@@ -824,48 +834,47 @@ let test_defense_signature_refinement () =
       .Apps.Exploits.x_messages
   in
   let wave = function 0 -> wave 0 | 1 -> wave 2 | _ -> wave 1 in
-  (match List.map (Sweeper.Defense.deliver community host) (wave 0) with
-  | [ Sweeper.Defense.Detected_and_analyzed ] -> ()
-  | _ -> Alcotest.fail "wave 1 should be analyzed");
-  (match List.map (Sweeper.Defense.deliver community host) (wave 1) with
-  | [ Sweeper.Defense.Blocked "vsef" ] -> ()
-  | [ Sweeper.Defense.Blocked other ] ->
-    Alcotest.fail ("wave 2 blocked by " ^ other ^ ", expected the VSEF")
-  | _ -> Alcotest.fail "wave 2 should be VSEF-blocked");
-  check_int "corpus has two samples" 2
-    (List.length community.Sweeper.Defense.corpus);
-  (match community.Sweeper.Defense.antibody with
-  | Some (gen, ab) ->
-    check_bool "republished" true (gen >= 2);
-    (match ab.Sweeper.Antibody.ab_signature with
-    | Some (Sweeper.Signature.Tokens _) -> ()
-    | _ -> Alcotest.fail "signature not refined to tokens")
-  | None -> Alcotest.fail "no antibody");
-  match List.map (Sweeper.Defense.deliver community host) (wave 2) with
-  | [ Sweeper.Defense.Blocked name ] when name <> "vsef" ->
-    ()  (* filtered at the proxy before reaching the process *)
-  | [ Sweeper.Defense.Blocked "vsef" ] ->
-    Alcotest.fail "wave 3 reached the process; token signature missed it"
-  | _ -> Alcotest.fail "wave 3 should be filtered"
+  let run_wave n =
+    Sh.post_traffic c ~traffic:(fun _ -> wave n);
+    ignore (Sh.run_round c);
+    Sh.summary c
+  in
+  let s = run_wave 0 in
+  check_int "wave 1 analyzed" 1 s.Sh.sm_analyses;
+  check_int "antibody published" 1 (count_events s "antibody-published");
+  let s = run_wave 1 in
+  check_int "wave 2 VSEF-blocked" 1 (count_events s "vetoed");
+  (* The second confirmed sample republished a token signature. *)
+  let published =
+    List.find_map
+      (fun (m : Obs.Metrics.sample) ->
+        match m.Obs.Metrics.s_value with
+        | Obs.Metrics.Sample_counter n
+          when m.Obs.Metrics.s_name = "sweeper_antibodies_published_total" ->
+          Some n
+        | _ -> None)
+      (Sh.merged_metrics c)
+  in
+  check_bool "republished" true (Option.value ~default:0 published >= 2);
+  let s = run_wave 2 in
+  check_int "wave 3 never reached the process" 1 (count_events s "vetoed");
+  check_int "wave 3 filtered at the proxy" 1
+    (count_events s "filtered:antibody-squid");
+  check_int "no infection" 0 s.Sh.sm_infections
 
 let test_defense_consumer_only_community_survives_detection () =
   (* With zero producers nobody can make antibodies, but lightweight
      monitoring + rollback still keeps consumers alive (DoS, not takeover). *)
   let entry = Apps.Registry.find "apache1" in
-  let community =
-    Sweeper.Defense.create ~app:"apache1" ~compile:entry.r_compile ~n:5
-      ~producers:0 ~seed:7200 ()
+  let c =
+    Sh.create ~app:"apache1" ~compile:entry.r_compile ~n:5 ~producers:0
+      ~seed:7200 ()
   in
-  let rng = Random.State.make [| 13 |] in
-  for _round = 1 to 2 do
-    Sweeper.Defense.worm_round community
-      ~exploit_for:(community_exploit_for rng)
-  done;
+  let s = attack_rounds c ~rng:(Random.State.make [| 13 |]) ~rounds:2 in
   check_bool "no antibody without producers" true
-    (community.Sweeper.Defense.antibody = None);
-  check_bool "crashes were absorbed" true
-    (community.Sweeper.Defense.stats.Sweeper.Defense.s_crashes > 0);
-  check_bool "consumers recovered" true (Sweeper.Defense.all_alive community)
+    (s.Sh.sm_first_antibody_vtime_ms = None);
+  check_bool "crashes were absorbed" true (s.Sh.sm_crashes > 0);
+  check_bool "consumers recovered" true (all_alive c)
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline driver regressions                                         *)
