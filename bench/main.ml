@@ -1251,8 +1251,7 @@ let micro_vm () =
     if cks = 0 then 0.0 else float_of_int cow /. float_of_int cks
   in
   (* Audit the tier accounting in each instrumented configuration the
-     acceptance bar names: hooked, observability on, flight recorder. The
-     taint-pruned configuration is audited per app in [static_bench]. *)
+     acceptance bar names: hooked, observability on, flight recorder. *)
   let tiers =
     [
       tier_counts "hooked" (fun cpu img ->
@@ -1469,161 +1468,6 @@ let micro_taint () =
   Printf.printf "memory-bug detection, fused      : %8.1f ns/instr\n" membug;
   (fused, oracle, slice, membug)
 
-(* ------------------------------------------------------------------ *)
-(* Static prefilter: hook points pruned by Static_an.Staint and what    *)
-(* that buys the taint replay. Two reductions are reported per app:     *)
-(*   - static: 1 - |K|/|program| over decoded pcs (hook points that     *)
-(*     never need installing);                                          *)
-(*   - executed: the fraction of dynamically replayed instructions that *)
-(*     retire on the uninstrumented fast path when only K is hooked     *)
-(*     (the baseline global-hook replay instruments every one).         *)
-(* The replay is the app's own exploit, and the pruned runs must agree  *)
-(* with the unpruned run byte-for-byte.                                 *)
-(* ------------------------------------------------------------------ *)
-
-type static_row = {
-  s_app : string;
-  s_instructions : int;  (** decoded pcs in the image *)
-  s_prop : int;          (** |S|, may-propagate pcs *)
-  s_hook : int;          (** |K|, must-hook pcs *)
-  s_static_pct : float;  (** 1 - |K|/|program|, as a percentage *)
-  s_exec_pct : float;    (** replayed instrs retiring uninstrumented, % *)
-  s_ms : float;          (** analysis time *)
-  s_base_ns : float;     (** global-hook fused taint replay, ns/instr *)
-  s_pruned_ns : float;   (** statically pruned fused replay, ns/instr *)
-  s_tiers : int * int * int * int;
-      (** (block, fast, slow, executed) retirement deltas of the per-pc
-          pruned replay — the taint-pruned tier-accounting audit *)
-}
-
-(* Load the app and queue benign traffic followed by its exploit stream;
-   the taint replay then consumes all of it up to the fault. The benign
-   prefix makes the replay long enough (tens of thousands of
-   instructions instead of a few thousand) that per-replay setup —
-   building the tracker, validating the static result against the code —
-   amortizes out of the ns/instr numbers, as it does in the epoch-sized
-   replays the defense actually runs. A fixed seed keeps every load of
-   one app at the same layout, so one static analysis serves all of
-   them. *)
-let exploit_replay_proc key =
-  let entry = Apps.Registry.find key in
-  let proc = Osim.Process.load ~aslr:true ~seed:(bseed 13) (entry.r_compile ()) in
-  ignore (Osim.Process.run proc);
-  List.iter
-    (fun m -> ignore (Osim.Process.send_message proc m))
-    (Apps.Registry.workload ~seed:(bseed 5) key (sc 150 6));
-  let exploit = Apps.Registry.exploit ~system_guess:0x12345678 ~cmd_ptr:0 key in
-  List.iter
-    (fun m -> ignore (Osim.Process.send_message proc m))
-    exploit.Apps.Exploits.x_messages;
-  proc
-
-let static_bench key =
-  let trials = sc 9 2 in
-  let mk () = exploit_replay_proc key in
-  let sa =
-    Static_an.Staint.analyze (mk ()).Osim.Process.cpu.Vm.Cpu.code
-  in
-  (* A/B trials are interleaved — base, pruned, base, pruned … — rather
-     than two sequential best-of blocks. Back-to-back blocks let
-     heap/allocator drift land entirely on whichever variant runs second
-     (the old sequential ordering is how the pruned replay once measured
-     "slower" than global on apache2 despite doing strictly less work per
-     instruction); alternating makes both variants sample the same drift,
-     so best-of picks comparable bests. *)
-  let run_base = Sweeper.Taint.run ?static:None in
-  let run_pruned_fused = Sweeper.Taint.run ~static:sa in
-  let time_one run =
-    let proc = mk () in
-    Gc.major ();
-    let t0 = Unix.gettimeofday () in
-    let r = run proc in
-    let dt = Unix.gettimeofday () -. t0 in
-    let n = r.Sweeper.Taint.t_instructions in
-    if n > 0 then Some (dt *. 1e9 /. float_of_int n) else None
-  in
-  let base_best = ref infinity and pruned_best = ref infinity in
-  let note best = function Some ns -> best := min !best ns | None -> () in
-  for _ = 1 to trials do
-    note base_best (time_one run_base);
-    note pruned_best (time_one run_pruned_fused)
-  done;
-  let base_ns = !base_best and pruned_ns = !pruned_best in
-  (* Execution-weighted instrumentation: hook only K (per-pc hooks) and
-     read the interpreter's own retirement counters. Unhooked blocks run
-     as compiled superinstructions, hooked ones per-instruction; the
-     uninstrumented share is everything that avoided the effect-record
-     path. The same deltas are the taint-pruned tier audit:
-     block + fast + slow must equal the instructions the replay
-     executed. *)
-  let proc = mk () in
-  let cpu = proc.Osim.Process.cpu in
-  let b0 = cpu.Vm.Cpu.block_retired
-  and f0 = cpu.Vm.Cpu.fast_retired
-  and s0 = cpu.Vm.Cpu.slow_retired
-  and i0 = cpu.Vm.Cpu.icount in
-  let per_pc = Sweeper.Taint.run_pruned ~static:sa proc in
-  let block = cpu.Vm.Cpu.block_retired - b0
-  and fast = cpu.Vm.Cpu.fast_retired - f0
-  and slow = cpu.Vm.Cpu.slow_retired - s0
-  and executed = cpu.Vm.Cpu.icount - i0 in
-  if block + fast + slow <> executed then
-    failwith
-      (Printf.sprintf
-         "%s: tier counters leak under taint-pruned replay: %d + %d + %d <> \
-          %d"
-         key block fast slow executed);
-  let exec_pct =
-    if executed = 0 then 0.
-    else 100. *. float_of_int (block + fast) /. float_of_int executed
-  in
-  (* Pruning must be invisible: same verdict, same propagation pcs. *)
-  let summarize (r : Sweeper.Taint.result) =
-    ( Sweeper.Taint.verdict_to_string r.Sweeper.Taint.t_verdict,
-      r.Sweeper.Taint.t_prop_pcs )
-  in
-  let unpruned = Sweeper.Taint.run (mk ()) in
-  let pruned = Sweeper.Taint.run ~static:sa (mk ()) in
-  if summarize unpruned <> summarize pruned
-     || summarize unpruned <> summarize per_pc
-  then failwith (key ^ ": statically pruned taint replay diverged");
-  let total = Static_an.Staint.total sa in
-  {
-    s_app = key;
-    s_instructions = total;
-    s_prop = Static_an.Staint.prop_count sa;
-    s_hook = Static_an.Staint.hook_count sa;
-    s_static_pct = 100. *. Static_an.Staint.reduction sa;
-    s_exec_pct = exec_pct;
-    s_ms = Static_an.Staint.analysis_ms sa;
-    s_base_ns = base_ns;
-    s_pruned_ns = pruned_ns;
-    s_tiers = (block, fast, slow, executed);
-  }
-
-let micro_static () =
-  section_header
-    "Static prefilter: taint hook points pruned and replay impact";
-  Printf.printf "%-8s %7s %7s %7s %11s %11s %9s %10s %11s %9s\n" "app" "pcs"
-    "|S|" "|K|" "static(%)" "exec(%)" "ms" "base ns/i" "pruned ns/i"
-    "delta";
-  let rows = List.map static_bench apps in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "%-8s %7d %7d %7d %11.1f %11.1f %9.3f %10.1f %11.1f %+9.2f\n" r.s_app
-        r.s_instructions r.s_prop r.s_hook r.s_static_pct r.s_exec_pct r.s_ms
-        r.s_base_ns r.s_pruned_ns
-        (r.s_pruned_ns -. r.s_base_ns))
-    rows;
-  Printf.printf
-    "(static %% = decoded pcs provably needing no taint hook; exec %% = \
-     replayed instructions retiring uninstrumented — block tier or fast \
-     path — when only the must-hook set K is instrumented; delta = pruned \
-     minus global ns/instr, negative is a pruning win; pruned replays are \
-     verified byte-identical to the global-hook replay)\n";
-  rows
-
 (* Per-stage Table 3 wall-clock, collected for the JSON dump. *)
 let table3_stage_rows () =
   List.map
@@ -1665,7 +1509,7 @@ let merge_json_file file (fresh : (string * Obs.Json.t) list) =
 
 let write_bench_json ~uninstr ~block_compiled ~one_pc ~global ~obs_on ~flight
     ~pages_per_ck ~cks ~tiers ~taint_fused ~taint_oracle ~slice_ns ~membug_ns
-    ~static_rows ~absint_rows ~absint_guarded ~absint_elided ~table3 =
+    ~absint_rows ~absint_guarded ~absint_elided ~table3 =
   let f x = Obs.Json.Float x in
   let tier_obj (b, fa, sl, n) =
     Obs.Json.Obj
@@ -1698,30 +1542,9 @@ let write_bench_json ~uninstr ~block_compiled ~one_pc ~global ~obs_on ~flight
       ("checkpoints", Obs.Json.Int cks);
       ( "tier_counters",
         Obs.Json.Obj
-          (List.map (fun (name, b, fa, sl, n) -> (name, tier_obj (b, fa, sl, n)))
-             tiers
-          @ List.map
-              (fun r -> ("taint_pruned_" ^ r.s_app, tier_obj r.s_tiers))
-              static_rows) );
-      ( "static_prefilter",
-        Obs.Json.Obj
           (List.map
-             (fun r ->
-               ( r.s_app,
-                 Obs.Json.Obj
-                   [
-                     ("instructions", Obs.Json.Int r.s_instructions);
-                     ("taint_prop_pcs", Obs.Json.Int r.s_prop);
-                     ("taint_hook_pcs", Obs.Json.Int r.s_hook);
-                     ("static_hook_reduction_pct", f r.s_static_pct);
-                     ("exec_uninstrumented_pct", f r.s_exec_pct);
-                     ("analysis_ms", f r.s_ms);
-                     ("ns_per_instr_taint_global", f r.s_base_ns);
-                     ("ns_per_instr_taint_pruned", f r.s_pruned_ns);
-                     ( "taint_pruned_delta_ns_per_instr",
-                       f (r.s_pruned_ns -. r.s_base_ns) );
-                   ] ))
-             static_rows) );
+             (fun (name, b, fa, sl, n) -> (name, tier_obj (b, fa, sl, n)))
+             tiers) );
       ( "absint",
         Obs.Json.Obj
           [
@@ -1784,13 +1607,12 @@ let micro () =
     micro_vm ()
   in
   let taint_fused, taint_oracle, slice_ns, membug_ns = micro_taint () in
-  let static_rows = micro_static () in
   let absint_rows, absint_guarded, absint_elided = micro_absint () in
   if !json_output then begin
     let table3 = table3_stage_rows () in
     write_bench_json ~uninstr ~block_compiled ~one_pc ~global ~obs_on ~flight
       ~pages_per_ck ~cks ~tiers ~taint_fused ~taint_oracle ~slice_ns ~membug_ns
-      ~static_rows ~absint_rows ~absint_guarded ~absint_elided ~table3
+      ~absint_rows ~absint_guarded ~absint_elided ~table3
   end;
   section_header "Microbenchmarks (Bechamel)";
   let open Bechamel in
@@ -1872,7 +1694,6 @@ let all_sections =
     ("forensics", fun () -> ignore (forensics_bench () : forensics_data));
     ("sampling", sampling);
     ("ablations", ablations);
-    ("static", fun () -> ignore (micro_static () : static_row list));
     ( "absint",
       fun () ->
         ignore (micro_absint () : absint_row list * float * float) );

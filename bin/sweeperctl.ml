@@ -288,8 +288,8 @@ let trace_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* analyze: static CFG recovery + taint reachability over an app's loaded
-   code, reporting the instrumentation-point reduction the taint replay
-   gets from the static prefilter. *)
+   code, reporting the may-propagate set S that antibody validation checks
+   taint filters against. *)
 
 let analyze_cmd =
   let cfg_out =
@@ -327,7 +327,6 @@ let analyze_cmd =
         0 blocks
     in
     let total = Static_an.Staint.total sa in
-    let reduction_pct = 100. *. Static_an.Staint.reduction sa in
     (* Per-function interval summaries: partition the access pcs by the
        function symbol ranges of both images (assembler-internal ".L"
        labels are not function boundaries). *)
@@ -389,9 +388,6 @@ let analyze_cmd =
                    Obs.Json.Int (Static_an.Dataflow.max_stack_depth cfg) );
                  ( "taint_prop_pcs",
                    Obs.Json.Int (Static_an.Staint.prop_count sa) );
-                 ( "taint_hook_pcs",
-                   Obs.Json.Int (Static_an.Staint.hook_count sa) );
-                 ("hook_reduction_pct", Obs.Json.Float reduction_pct);
                  ( "analysis_ms",
                    Obs.Json.Float (Static_an.Staint.analysis_ms sa) );
                ]
@@ -445,11 +441,6 @@ let analyze_cmd =
         (Static_an.Dataflow.max_stack_depth cfg);
       Printf.printf "  taint may-propagate set S: %d pcs\n"
         (Static_an.Staint.prop_count sa);
-      Printf.printf "  taint must-hook set K:     %d pcs\n"
-        (Static_an.Staint.hook_count sa);
-      Printf.printf
-        "  hook reduction: %.1f%% of instrumentation points pruned\n"
-        reduction_pct;
       Printf.printf "  analysis time: %.2f ms\n"
         (Static_an.Staint.analysis_ms sa);
       if absint then begin

@@ -74,13 +74,15 @@ let validate_feasible (proc : Osim.Process.t) (absint : Static_an.Absint.t) ab
 (** Statically validate an antibody's taint filters against an analysis
     of [proc]'s code: every propagation location of every
     [Vsef.Taint_filter] must lie in the static may-propagate set [S].
-    Locations generated by the dynamic engine provably do ([S] is a
-    superset of its marks), so a non-empty return means the bundle is
-    stale (built for different code) or corrupted — exactly what an
-    untrusting consumer wants to know before deploying a shared artifact.
-    [absint] additionally applies {!validate_feasible}'s interval bar to
-    the bundle's overflow checks. Returns the violations as
-    [(vsef name, offending pcs)]. *)
+    [S] contains every pc the dynamic engine marks on an execution that
+    follows the CFG, so an honest filter passes when its propagation
+    chain ran before the control transfer the attack hijacked. A
+    non-empty return means the bundle is stale (built for different
+    code), corrupted, or names a pc only a hijacked execution reached —
+    what an untrusting consumer wants to know before deploying a shared
+    artifact. [absint] additionally applies {!validate_feasible}'s
+    interval bar to the bundle's overflow checks. Returns the violations
+    as [(vsef name, offending pcs)]. *)
 let validate_static ?absint (proc : Osim.Process.t)
     (static : Static_an.Staint.t) ab =
   let taint_bad =
@@ -110,11 +112,9 @@ let validate_static ?absint (proc : Osim.Process.t)
   | Some a -> taint_bad @ validate_feasible proc a ab
 
 (** Deploy an antibody on a host: install the VSEFs on the process and the
-    input signature at its network proxy. Returns the installed handles.
-    [static] is threaded to {!Vsef.install} to prune taint filters to the
-    statically-reachable propagation set. *)
-let deploy ?static (proc : Osim.Process.t) ab =
-  let installed = List.map (Vsef.install ?static proc) ab.ab_vsefs in
+    input signature at its network proxy. Returns the installed handles. *)
+let deploy (proc : Osim.Process.t) ab =
+  let installed = List.map (Vsef.install proc) ab.ab_vsefs in
   (match ab.ab_signature with
   | Some s ->
     Osim.Netlog.add_filter proc.Osim.Process.net

@@ -51,15 +51,15 @@ val validate_static :
   (string * int list) list
 (** Check every taint filter's propagation locations against the static
     may-propagate set of [proc]'s code, plus — when [absint] is given —
-    {!validate_feasible}'s interval bar on the overflow checks.
-    Dynamically-generated filters provably pass; a non-empty result (as
-    [(vsef name, offending pcs)]) means the bundle is stale or
-    corrupted. *)
+    {!validate_feasible}'s interval bar on the overflow checks. The set
+    covers executions that follow the CFG, so a filter generated from
+    such a run passes; a non-empty result (as
+    [(vsef name, offending pcs)]) means the bundle is stale, corrupted,
+    or names a pc only a hijacked execution reached. *)
 
-val deploy : ?static:Static_an.Staint.t -> Osim.Process.t -> t -> Vsef.installed list
+val deploy : Osim.Process.t -> t -> Vsef.installed list
 (** Install the VSEFs on the process and the input signature at its
-    network proxy. [static] is threaded to {!Vsef.install} to prune taint
-    filters to the statically-reachable propagation set. *)
+    network proxy. *)
 
 val undeploy : Osim.Process.t -> t -> Vsef.installed list -> unit
 

@@ -226,16 +226,17 @@ module Sharded = struct
      feasibility and taint bars always apply, and consumers that distrust
      the producer additionally verify the bundle against their own copy of
      the application (the deferred-verification option of Section 3.3).
-     Returns whether the bundle was accepted; rejections count in
-     [sweeper_antibody_rejected_total] by reason. *)
+     Returns [None] when the bundle was accepted, else the rejection
+     reason; rejections count in [sweeper_antibody_rejected_total] by
+     reason. *)
   let publish sh antibody =
     match rejection sh antibody with
-    | Some reason ->
+    | Some reason as rejected ->
       Obs.Metrics.inc (rejected_counter sh reason);
       Obs.Trace.instant ~cat:"community"
         ~args:[ ("reason", reason) ]
         "antibody-rejected";
-      false
+      rejected
     | None ->
       sh.sh_generation <- sh.sh_generation + 1;
       sh.sh_antibody <- Some (sh.sh_generation, antibody);
@@ -246,7 +247,7 @@ module Sharded = struct
       Obs.Trace.instant ~cat:"community"
         ~args:[ ("generation", string_of_int sh.sh_generation) ]
         "antibody-published";
-      true
+      None
 
   (* Make sure [host] runs the latest antibody generation, replacing any
      previously installed one. *)
@@ -308,6 +309,10 @@ module Sharded = struct
   let record_event sh vt host_id kind =
     sh.sh_events_rev <- (vt, host_id, kind) :: sh.sh_events_rev
 
+  (* Rejections carry their reason, like ["filtered:<name>"]. *)
+  let record_rejection sh vt host_id reason =
+    record_event sh vt host_id ("antibody-rejected:" ^ reason)
+
   let broadcast sh vt m =
     for dst = 0 to sh.sh_shards - 1 do
       if dst <> sh.sh_id then
@@ -320,21 +325,21 @@ module Sharded = struct
   (* Apply one inbound envelope at window start. Neither branch ever
      re-emits — see the module doc's loop-freedom argument. Adoption
      bookkeeping happens only when [publish] accepts the bundle: a
-     bundle that fails validation is rejected — counted and recorded —
-     and leaves the shard open to a later legitimate publication. *)
+     bundle that fails validation is rejected — counted and recorded
+     with its reason — and leaves the shard open to a later legitimate
+     publication. *)
   let apply_envelope sh (e : msg Osim.Cluster.envelope) =
     match e.Osim.Cluster.env_msg with
-    | Antibody_pub (ab, origin) ->
-      if sh.sh_antibody = None then
-        if publish sh ab then begin
-          if sh.sh_ab_origin = None then sh.sh_ab_origin <- origin;
-          sh.sh_ab_prov <-
-            Some
-              ( e.Osim.Cluster.env_vtime, e.Osim.Cluster.env_src,
-                e.Osim.Cluster.env_seq );
-          record_event sh e.Osim.Cluster.env_vtime (-1) "antibody-adopted"
-        end
-        else record_event sh e.Osim.Cluster.env_vtime (-1) "antibody-rejected"
+    | Antibody_pub (ab, origin) when sh.sh_antibody = None -> (
+      let vt = e.Osim.Cluster.env_vtime in
+      match publish sh ab with
+      | None ->
+        if sh.sh_ab_origin = None then sh.sh_ab_origin <- origin;
+        sh.sh_ab_prov <-
+          Some (vt, e.Osim.Cluster.env_src, e.Osim.Cluster.env_seq);
+        record_event sh vt (-1) "antibody-adopted"
+      | Some reason -> record_rejection sh vt (-1) reason)
+    | Antibody_pub _ -> ()
     | Sample s -> record_exploit_sample sh s
 
   (* A producer detected an attack: capture the attack message's
@@ -351,7 +356,9 @@ module Sharded = struct
     in
     let report = Orchestrator.handle_attack ~app:sh.sh_app host.h_server fault in
     let ab = report.Orchestrator.a_antibody in
-    if publish sh ab && sh.sh_ab_origin = None then sh.sh_ab_origin <- origin;
+    (match publish sh ab with
+    | None -> if sh.sh_ab_origin = None then sh.sh_ab_origin <- origin
+    | Some reason -> record_rejection sh vt host.h_id reason);
     host.h_deployed <- sh.sh_generation;
     Option.iter (List.iter (record_exploit_sample sh)) ab.Antibody.ab_exploit_input
 

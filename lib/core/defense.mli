@@ -99,7 +99,10 @@ module Sharded : sig
       [verify_before_deploy] the bundle is also sandbox-verified by
       exploit replay. Rejections count in
       [sweeper_antibody_rejected_total] by [reason]
-      (["static-infeasible"], ["pcs-outside-S"], ["replay-failed"]). *)
+      (["static-infeasible"], ["pcs-outside-S"], ["replay-failed"]), and
+      each is recorded in [sm_events] as ["antibody-rejected:<reason>"]:
+      under the analyzing producer's host id when its own bundle fails,
+      under [-1] when a received one does. *)
 
   val hosts : community -> host list
   (** All hosts, sorted by global id. *)
@@ -121,8 +124,8 @@ module Sharded : sig
   (** Offer a bundle to every shard as an externally-sourced broadcast —
       the supply-chain surface a malicious producer would use. Each
       shard runs the full publication validation: fabricated bundles
-      are rejected everywhere (a per-shard "antibody-rejected" event
-      plus the [sweeper_antibody_rejected_total] counter), legitimate
+      are rejected everywhere (a per-shard "antibody-rejected:<reason>"
+      event plus the [sweeper_antibody_rejected_total] counter), legitimate
       ones are adopted. Call between rounds, on the calling domain. *)
 
   val run_round : community -> Osim.Cluster.stats
@@ -156,7 +159,9 @@ module Sharded : sig
     sm_infected_hosts : int;
     sm_first_antibody_vtime_ms : float option;
     sm_events : (float * int * string) list;
-        (** (vtime, global host id, kind), sorted *)
+        (** (vtime, global host id, kind), sorted; a kind may carry a
+            detail after a colon ("filtered:<name>",
+            "antibody-rejected:<reason>") *)
     sm_icounts : (int * int) list;  (** (global host id, icount), sorted *)
     sm_outputs : (int * (int * string) list) list;
         (** per-host committed outputs, by global host id *)

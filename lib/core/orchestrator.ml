@@ -44,25 +44,6 @@ let mark_first_vsef = "first-vsef"
 let mark_best_vsef = "best-vsef"
 let mark_initial_analysis = "initial-analysis"
 
-(* --- Stage 0: static taint prefilter (no replay at all) ----------------- *)
-let static_stage =
-  {
-    Stage.name = "static-prefilter";
-    run =
-      (fun cx ->
-        let sa =
-          Static_an.Staint.analyze
-            (Stage.proc cx).Osim.Process.cpu.Vm.Cpu.code
-        in
-        Obs.Metrics.set
-          (Obs.Metrics.gauge
-             ~help:"taint hook points the static prefilter keeps"
-             "sweeper_static_hook_points")
-          (float_of_int (Static_an.Staint.hook_count sa));
-        { cx with Stage.cx_static = Some sa });
-    instructions = (fun _ -> 0);
-  }
-
 (* --- Stage 1: memory-state analysis (no rollback needed) --------------- *)
 let coredump_stage =
   {
@@ -111,9 +92,7 @@ let taint_stage =
     run =
       (fun cx ->
         let r =
-          Stage.Replay.analyze cx
-            (Taint.run ~fuel:Stage.Replay.analysis_fuel
-               ?static:cx.Stage.cx_static)
+          Stage.Replay.analyze cx (Taint.run ~fuel:Stage.Replay.analysis_fuel)
         in
         let vsef =
           Taint.vsef_of_result ~app:cx.Stage.cx_app ~proc:(Stage.proc cx) r
@@ -189,8 +168,7 @@ let slicing_stage =
   }
 
 let default_stages =
-  [ static_stage; coredump_stage; membug_stage; taint_stage; isolation_stage;
-    slicing_stage ]
+  [ coredump_stage; membug_stage; taint_stage; isolation_stage; slicing_stage ]
 
 (** Cross-check the stage products, assemble the antibody, and (by
     default) recover the server. Stages that did not run contribute

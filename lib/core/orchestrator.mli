@@ -38,16 +38,11 @@ type report = {
   a_total_ms : float;
 }
 
-(** The pipeline stages, individually addressable so policies can build
-    reduced or reordered pipelines: the "static-prefilter" pre-stage plus
-    the five Figure 3 analyses — "Memory State Analysis", "Memory Bug
-    Detection", "Input/Taint Analysis", "Input Isolation", "Dynamic
-    Slicing". The prefilter computes {!Static_an.Staint} reachability of
-    the process's code into [cx_static]; the taint replay then prunes its
-    fused-loop shadow work to the statically reachable pcs (results are
-    provably unchanged). *)
+(** The five Figure 3 analyses, individually addressable so policies can
+    build reduced or reordered pipelines: "Memory State Analysis",
+    "Memory Bug Detection", "Input/Taint Analysis", "Input Isolation",
+    "Dynamic Slicing". *)
 
-val static_stage : Stage.t
 val coredump_stage : Stage.t
 val membug_stage : Stage.t
 val taint_stage : Stage.t

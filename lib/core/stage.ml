@@ -35,9 +35,6 @@ type ctx = {
   cx_upto : int;               (** replay window: log cursor at the crash *)
   cx_suspects : int list;      (** message ids consumed since [cx_ck] *)
   (* Stage products, in pipeline order. [None] means "stage not run". *)
-  cx_static : Static_an.Staint.t option;
-      (** static taint reachability of the process's code, computed by the
-          static-prefilter stage and consumed by the taint replay *)
   cx_coredump : Coredump.report option;
   cx_membug : Membug.report option;
   cx_taint : Taint.result option;
@@ -149,7 +146,6 @@ let init ~app (server : Osim.Server.t) (fault : Vm.Event.fault) =
     cx_ck_fallback = fallback;
     cx_upto = crash_cursor;
     cx_suspects = suspects;
-    cx_static = None;
     cx_coredump = None;
     cx_membug = None;
     cx_taint = None;

@@ -28,9 +28,6 @@ type ctx = {
           driver fell back to the server's origin checkpoint *)
   cx_upto : int;              (** replay window: log cursor at the crash *)
   cx_suspects : int list;     (** message ids consumed since [cx_ck] *)
-  cx_static : Static_an.Staint.t option;
-      (** static taint reachability of the process's code, computed by the
-          static-prefilter stage and consumed by the taint replay *)
   cx_coredump : Coredump.report option;
   cx_membug : Membug.report option;
   cx_taint : Taint.result option;

@@ -151,18 +151,6 @@ type t = {
           on a small int instead of destructuring the instruction *)
   mutable any_taint : bool;  (** false until the first tainted byte exists *)
   mutable sources_seen : Int_set.t;  (** message ids read *)
-  mutable trip_static : Static_an.Staint.t option;
-      (** [Some] while running with statically pruned plans: the fused
-          loop checks every retired [Ret]'s landing pc against this
-          analysis's return-site set and reverts to full instrumentation
-          on a miss (see [unprune]); [None] once tripped or when running
-          unpruned *)
-  trip_ret : Bytes.t array;
-      (** per-segment return-site masks, parallel to the code segments,
-          prefetched from the static result so the fused loop's [k_ret]
-          check is one byte load in the common same-segment case;
-          all-empty when running unpruned (no plan is ever [k_ret], so
-          the masks are never consulted) *)
 }
 
 (* The taint-relevant content of one instruction, packed into one
@@ -183,19 +171,6 @@ let k_push_reg = 9
 let k_push_const = 10
 let k_pop = 11
 let k_call = 12     (* pushed return-address slot becomes clean *)
-
-(* Pruned plans only: [Ret] plus the return-site tripwire. [Ret] is
-   outside [K] (its dynamic update is a no-op), so the static model's
-   one optimistic assumption — returns land on return sites — is
-   checked on this kind, after the landing pc is committed. A miss
-   (including a landing outside any segment, which the next dispatch
-   faults on anyway) reverts to full instrumentation before the
-   landed-on instruction executes, so no un-hooked pc ever runs outside
-   the checked assumption. Keeping the check inside the plan dispatch
-   (rather than re-matching the instruction after every step) makes the
-   pruned loop's per-instruction cost identical to the global one
-   everywhere except at an actual [Ret]. *)
-let k_ret = 13
 
 let pack kind a b off =
   kind lor (a lsl 4) lor (b lsl 8) lor (off lsl 12)
@@ -218,16 +193,7 @@ let plan_of_instr (i : Vm.Isa.instr) =
   | Call _ | CallInd _ -> pack k_call 0 0 0
   | Cmp _ | Jmp _ | Jcc _ | Ret | Syscall _ | Halt | Nop -> k_exec
 
-(* [static] prunes the plans as they are built: every pc outside the
-   static must-hook set [K] gets [k_exec] (execute, no shadow work).
-   [Staint]'s contract makes this invisible — at any pc outside [K] the
-   dynamic update is the identity on every state the tracker can reach,
-   given the return-site tripwire the fused loop arms off [trip_static] —
-   and folding it into plan construction keeps the pruned tracker's setup
-   cost identical to the unpruned one (the plans are one pass over the
-   code either way; replays can be a few thousand instructions, so an
-   extra O(code) pass would be visible in ns/instr). *)
-let create ?static proc =
+let create proc =
   let code = proc.Osim.Process.cpu.Vm.Cpu.code in
   {
     proc;
@@ -242,34 +208,11 @@ let create ?static proc =
         (fun s -> Bytes.make (Array.length s.Vm.Program.seg_instrs) '\000')
         code.Vm.Program.segments;
     plans =
-      (match static with
-      | None ->
-        Array.map
-          (fun s -> Array.map plan_of_instr s.Vm.Program.seg_instrs)
-          code.Vm.Program.segments
-      | Some sa ->
-        Array.mapi
-          (fun si s ->
-            let hooks = Static_an.Staint.hook_mask sa si in
-            Array.mapi
-              (fun i instr ->
-                match instr with
-                | Vm.Isa.Ret -> k_ret (* arms the return-site tripwire *)
-                | _ ->
-                  if Bytes.get hooks i = '\000' then k_exec
-                  else plan_of_instr instr)
-              s.Vm.Program.seg_instrs)
-          code.Vm.Program.segments);
+      Array.map
+        (fun s -> Array.map plan_of_instr s.Vm.Program.seg_instrs)
+        code.Vm.Program.segments;
     any_taint = false;
     sources_seen = Int_set.empty;
-    trip_static = static;
-    trip_ret =
-      (match static with
-      | None -> Array.map (fun _ -> Bytes.empty) code.Vm.Program.segments
-      | Some sa ->
-        Array.mapi
-          (fun si _ -> Static_an.Staint.ret_site_mask sa si)
-          code.Vm.Program.segments);
   }
 
 (* Label id of one shadow byte. Absent pages are all-clean; the one-entry
@@ -657,47 +600,7 @@ let sp_idx = Vm.Isa.reg_index Vm.Isa.SP
    slab of [prop_mask] so marking a propagation site is one byte store.
    Taint inputs that depend on pre-execution state (addresses from
    registers) are read before [exec_fast] and applied only if it ran. *)
-(* Return-site tripwire miss: a [Ret] landed off the statically assumed
-   return-site set (a hijacked or otherwise corrupted return address).
-   Restore the pristine taint plans in place — the fused loop reads plan
-   words through the same arrays, so the restoration is visible to the
-   burst already in flight — and stop checking: from here on every
-   instruction runs fully instrumented, which is trivially identical to
-   the unpruned tracker. *)
-let unprune st =
-  let segs = st.proc.Osim.Process.cpu.Vm.Cpu.code.Vm.Program.segments in
-  Array.iteri
-    (fun si s ->
-      let plan = st.plans.(si) in
-      Array.iteri
-        (fun i instr -> plan.(i) <- plan_of_instr instr)
-        s.Vm.Program.seg_instrs)
-    segs;
-  st.trip_static <- None
-
-(* The [k_ret] check: the landing pc (already committed by the [Ret])
-   must be a statically known return site, else the pruned plans stop
-   being trustworthy and [unprune] restores full instrumentation. *)
-let check_return_site st cpu =
-  match st.trip_static with
-  | Some sa when not (Static_an.Staint.is_return_site sa cpu.Vm.Cpu.pc) ->
-    unprune st
-  | _ -> ()
-
-(* Same-segment fast path for the [k_ret] tripwire: most returns land in
-   the segment they retired in, whose return-site mask the fused loop
-   already holds — one bounds check and one byte load, no cross-module
-   call. Cross-segment (or unmapped/misaligned) landings take
-   [check_return_site]'s full search, which reaches the same verdict. *)
-let ret_check st cpu s ret =
-  let pc = cpu.Vm.Cpu.pc in
-  let off = pc - s.Vm.Program.seg_base in
-  if off >= 0 && pc < s.Vm.Program.seg_limit && off land 3 = 0 then begin
-    if Bytes.unsafe_get ret (off lsr 2) = '\000' then unprune st
-  end
-  else check_return_site st cpu
-
-let rec fused_seg st cpu s mask plan ret fuel =
+let rec fused_seg st cpu s mask plan fuel =
   if cpu.Vm.Cpu.halted || fuel <= 0 then fuel
   else
     let pc = cpu.Vm.Cpu.pc in
@@ -709,14 +612,8 @@ let rec fused_seg st cpu s mask plan ret fuel =
       let instr = Array.unsafe_get s.Vm.Program.seg_instrs ii in
       (if not st.any_taint then begin
          (* All-clean: propagation is the identity, only machine
-            semantics run. The tripwire stays armed even before the
-            first tainted byte exists: a wild return during the clean
-            prefix invalidates the static model's control-flow
-            assumptions for everything executed after it. In global
-            mode no plan is ever [k_ret], so the extra compare never
-            fires there. *)
-         if not (Vm.Cpu.exec_fast cpu instr) then slow cpu;
-         if Array.unsafe_get plan ii = k_ret then ret_check st cpu s ret
+            semantics run. *)
+         if not (Vm.Cpu.exec_fast cpu instr) then slow cpu
        end
        else
          let p = Array.unsafe_get plan ii in
@@ -824,117 +721,31 @@ let rec fused_seg st cpu s mask plan ret fuel =
              Array.unsafe_set rt ((p lsr 4) land 15) t
            end
            else slow cpu
-         | 12 (* k_call *) ->
+         | _ (* 12, k_call *) ->
            let addr =
              (Array.unsafe_get cpu.Vm.Cpu.regs sp_idx - 4) land 0xFFFFFFFF
            in
            if Vm.Cpu.exec_fast cpu instr then
              (* The pushed return address is clean. *)
              set_mem_word st addr 0
-           else slow cpu
-         | _ (* k_ret: pruned plans only, see [k_ret] *) ->
-           if not (Vm.Cpu.exec_fast cpu instr) then slow cpu;
-           ret_check st cpu s ret);
-      fused_seg st cpu s mask plan ret (fuel - 1)
+           else slow cpu);
+      fused_seg st cpu s mask plan (fuel - 1)
     end
-
-let check_static (static : Static_an.Staint.t) cpu =
-  if not (Static_an.Staint.matches static cpu.Vm.Cpu.code) then
-    invalid_arg "Taint: static analysis is for a different program"
 
 (** Attach the tracker, run the replay to completion, classify, detach.
     Uses the fused loop when this tracker is the only instrumentation on
     the CPU; otherwise falls back to the generic hooked interpreter so
-    foreign hooks keep firing. [static] (a {!Static_an.Staint} result for
-    the same program) prunes the fused loop's shadow work down to the
-    statically reachable propagation pcs, with a per-[Ret] return-site
-    tripwire backstopping the static model's one optimistic assumption;
-    results are unchanged. *)
-let run ?(fuel = 20_000_000) ?static (proc : Osim.Process.t) : result =
+    foreign hooks keep firing. *)
+let run ?(fuel = 20_000_000) (proc : Osim.Process.t) : result =
   let cpu = proc.Osim.Process.cpu in
-  (match static with
-  | Some s -> check_static s cpu
-  | None -> ());
-  let st = create ?static proc in
+  let st = create proc in
   let before = cpu.Vm.Cpu.icount in
   let outcome =
     Vm.Cpu.run_fused ~fuel cpu ~hook:(on_effect st) (fun i s n ->
         fused_seg st cpu s
           (Array.unsafe_get st.prop_mask i)
           (Array.unsafe_get st.plans i)
-          (Array.unsafe_get st.trip_ret i)
           n)
-  in
-  {
-    t_verdict = classify_fault st outcome;
-    t_prop_pcs = prop_pcs_list st;
-    t_instructions = cpu.Vm.Cpu.icount - before;
-  }
-
-(** Replay with the tracker installed only at the pcs the static
-    analysis proves it could ever matter at ([K], via per-pc post hooks)
-    instead of a global hook; every other instruction retires on the
-    interpreter's uninstrumented fast path. Byte-identical results to
-    {!run} — [K]'s construction makes the skipped hook invocations
-    provable no-ops, and a per-[Ret] tripwire reverts to a global hook
-    the moment a return lands off the statically assumed return-site
-    set — at an instrumentation footprint of [Staint.hook_count] pcs
-    instead of the whole program. *)
-let run_pruned ?(fuel = 20_000_000) ~static (proc : Osim.Process.t) : result =
-  let st = create proc in
-  let cpu = proc.Osim.Process.cpu in
-  check_static static cpu;
-  let before = cpu.Vm.Cpu.icount in
-  let track_hooks =
-    ref
-      (List.rev_map
-         (fun pc -> Vm.Cpu.add_pc_post_hook cpu ~pc (on_effect st))
-         (Static_an.Staint.hook_pcs static))
-  in
-  (* Return-site tripwire: [Ret] is never in [K], so each [Ret] pc gets
-     its own post hook that checks the landing pc. On a miss the per-pc
-     tracker hooks are swapped for one global [on_effect] — full
-     instrumentation — before the landed-on instruction runs (the
-     interpreter re-reads its hook counters every dispatch). The global
-     hook also fires once for the tripping [Ret]'s own effect (post-all
-     hooks run after post-at ones), which is harmless: [on_effect] is the
-     identity on a [Ret]. *)
-  let tripped = ref false in
-  let trip _eff =
-    if
-      (not !tripped)
-      && not (Static_an.Staint.is_return_site static cpu.Vm.Cpu.pc)
-    then begin
-      tripped := true;
-      List.iter (Vm.Cpu.remove_hook cpu) !track_hooks;
-      track_hooks := [ Vm.Cpu.add_post_hook cpu (on_effect st) ]
-    end
-  in
-  let ret_pcs =
-    Array.fold_left
-      (fun acc s ->
-        let acc = ref acc in
-        Array.iteri
-          (fun i (instr : Vm.Isa.instr) ->
-            match instr with
-            | Ret ->
-              acc :=
-                (s.Vm.Program.seg_base + (i * Vm.Isa.instr_size)) :: !acc
-            | _ -> ())
-          s.Vm.Program.seg_instrs;
-        !acc)
-      []
-      cpu.Vm.Cpu.code.Vm.Program.segments
-  in
-  let ret_hooks =
-    List.rev_map (fun pc -> Vm.Cpu.add_pc_post_hook cpu ~pc trip) ret_pcs
-  in
-  let outcome =
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter (Vm.Cpu.remove_hook cpu) !track_hooks;
-        List.iter (Vm.Cpu.remove_hook cpu) ret_hooks)
-      (fun () -> Vm.Cpu.run ~fuel cpu)
   in
   {
     t_verdict = classify_fault st outcome;

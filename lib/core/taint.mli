@@ -32,11 +32,7 @@ type verdict =
     the engine hook-by-hook. *)
 type t
 
-val create : ?static:Static_an.Staint.t -> Osim.Process.t -> t
-(** [static] (an analysis of the same program) builds the fused loop's
-    taint plans already pruned to the static must-hook set [K] and arms
-    the per-[Ret] return-site tripwire; omit it for a fully instrumented
-    tracker. *)
+val create : Osim.Process.t -> t
 
 val on_effect : t -> Vm.Event.effect_ -> unit
 (** The propagation rule, applied per committed instruction (register this
@@ -63,21 +59,11 @@ type result = {
 val verdict_msgs : verdict -> int list
 val verdict_to_string : verdict -> string
 
-val run : ?fuel:int -> ?static:Static_an.Staint.t -> Osim.Process.t -> result
+val run : ?fuel:int -> Osim.Process.t -> result
 (** Attach the tracker, run the replay to completion, classify, detach.
     Replays on the fused fast loop when this tracker is the only
     instrumentation installed on the CPU; observable results are identical
-    to the hook-driven path either way. [static] (a {!Static_an.Staint}
-    result for the same program — [Invalid_argument] otherwise) prunes the
-    fused loop's shadow work to the statically reachable propagation pcs
-    without changing any result. *)
-
-val run_pruned :
-  ?fuel:int -> static:Static_an.Staint.t -> Osim.Process.t -> result
-(** Replay with the tracker installed only at the pcs the static analysis
-    proves it could matter at (per-pc post hooks on the must-hook set [K]);
-    every other instruction retires on the uninstrumented fast path.
-    Byte-identical results to {!run}. *)
+    to the hook-driven path either way. *)
 
 val vsef_of_result :
   app:string -> proc:Osim.Process.t -> result -> Vsef.t option

@@ -167,15 +167,8 @@ let syscall_sites (p : Osim.Process.t) sysnos =
 
 (** Install a VSEF on a process, translating its relocatable locations to
     this process's layout. The added instrumentation consists of per-pc
-    hooks only — the VSEF footprint the paper measures.
-
-    [static] (a {!Static_an.Staint} result for this process's code) prunes
-    a {!Taint_filter}'s propagation hooks to the statically-reachable set
-    [S]: prop lists originate from the dynamic engine, whose marks provably
-    lie in [S], so the filter only drops locations a corrupted or stale
-    shared antibody could carry — defense in depth for artifacts received
-    from other hosts. *)
-let install ?static (p : Osim.Process.t) (v : t) : installed =
+    hooks only — the VSEF footprint the paper measures. *)
+let install (p : Osim.Process.t) (v : t) : installed =
   let cpu = p.cpu in
   let pc_of = pc_of_loc p in
   let rollback_hooks = ref [] in
@@ -370,11 +363,6 @@ let install ?static (p : Osim.Process.t) (v : t) : installed =
           eff.e_mem_writes
       in
       let prop_pcs = List.sort_uniq compare (List.map pc_of prop) in
-      let prop_pcs =
-        match static with
-        | Some sa -> List.filter (Static_an.Staint.may_propagate sa) prop_pcs
-        | None -> prop_pcs
-      in
       let prop_hooks =
         List.map (fun pc -> Vm.Cpu.add_pc_post_hook cpu ~pc propagate) prop_pcs
       in

@@ -67,14 +67,13 @@ type installed = {
   i_proc : Osim.Process.t;
 }
 
-val install : ?static:Static_an.Staint.t -> Osim.Process.t -> t -> installed
+val install : Osim.Process.t -> t -> installed
 (** Install a VSEF, translating its locations to this process's layout.
     The added instrumentation consists of per-pc hooks only. On violation
-    the hooks raise {!Detection.Detected}, vetoing the instruction.
-    [static] (an analysis of this process's code) prunes a
-    {!Taint_filter}'s propagation hooks to the statically-reachable set —
-    defense in depth against corrupted or stale shared antibodies, since
-    dynamically-generated prop locations provably lie in that set. *)
+    the hooks raise {!Detection.Detected}, vetoing the instruction. A
+    {!Taint_filter} hooks exactly the propagation locations it names;
+    vetting those against the static may-propagate set is
+    {!Antibody.validate_static}'s job, before deployment. *)
 
 val uninstall : installed -> unit
 

@@ -1,5 +1,5 @@
-(** Static taint reachability: a provable over-approximation of the
-    dynamic engine in [Sweeper.Taint].
+(** Static taint reachability: an over-approximation of the dynamic
+    engine in [Sweeper.Taint] over every execution that follows the CFG.
 
     The abstract state at an instruction is one int: bits
     [0 .. num_regs-1] say "this register may hold tainted data here" and
@@ -22,34 +22,19 @@
     any [Call]/[CallInd]. This is the context-insensitive "a return
     goes to some return site" model: it covers ordinary returns and
     even a smashed return address that lands on the {e wrong} return
-    site, but not one landing at an arbitrary pc. Pruned dynamic runs
-    close that gap with a one-compare tripwire after every retired
-    [Ret] (see [Taint.run ?static]): if the landing pc is not in the
-    return-site set the replay falls back to full instrumentation, so
-    the optimistic model is only ever {e assumed} on executions where
-    it was {e checked}. [CallInd] and unresolved targets (which decoded
-    images do not contain) still join into a broadcast-to-everywhere
-    hijack state [H], joined into every instruction's in-state.
+    site, but not one landing at an arbitrary pc. A return hijacked
+    into straight-line code leaves the CFG, and what the dynamic engine
+    marks after it can lie outside the result. [CallInd] and unresolved
+    targets (which decoded images do not contain) join into a
+    broadcast-to-everywhere hijack state [H], joined into every
+    instruction's in-state.
 
-    Two pc sets fall out of the fixpoint:
-
-    - [S] (may-propagate): pcs where the dynamic engine could ever mark
-      a propagation ([Taint.mark_if] with a non-zero label). Every pc in
-      a dynamic [t_prop_pcs] list is in [S] — the soundness contract the
-      qcheck differential suite enforces.
-    - [K] (must-hook), a superset of [S]: pcs where the dynamic tracker
-      could mark {e or} change its own state (clear a register it may
-      consider tainted, overwrite possibly-tainted shadow memory, or
-      observe a syscall). Running the tracker's hook only at pcs in [K]
-      is byte-identical to hooking every instruction: at any pc outside
-      [K] the dynamic update is the identity on every state the tracker
-      can actually be in (dynamic taint ⊆ static taint, by induction
-      along the executed path; the tripwire discharges the return-site
-      assumption that induction leans on). [Syscall] is always in [K] —
-      sources, result-register cleaning, and [sources_seen] live there.
-
-    [1 - |K| / total] is the instrumentation-point reduction reported in
-    the bench tables. *)
+    The result is [S] (may-propagate): the pcs where the dynamic engine
+    could mark a propagation ([Taint.mark_if] with a non-zero label) on
+    some CFG-following execution. Every pc in the [t_prop_pcs] of such a
+    run is in [S] — the contract the qcheck differential suite enforces.
+    Consumers use [S] to vet pcs that claim to come from an honest
+    dynamic analysis ([Antibody.validate_static]). *)
 
 let mem_bit = 1 lsl Vm.Isa.num_regs
 
@@ -58,12 +43,8 @@ type t = {
   sa_in : int array array;
       (** per segment, per instruction: in-state with [H]/[R] joined in *)
   sa_prop : Bytes.t array;  (** [S] as per-segment masks, like prop_mask *)
-  sa_hook : Bytes.t array;  (** [K] as per-segment masks *)
-  sa_ret : Bytes.t array;
-      (** return sites (instruction after a call) as per-segment masks *)
   sa_total : int;
   sa_prop_count : int;
-  sa_hook_count : int;
   sa_ms : float;  (** analysis wall time, milliseconds *)
 }
 
@@ -101,26 +82,6 @@ let may_mark_in (instr : Vm.Isa.instr) s =
   | Call _ | CallInd _ | Cmp _ | Jmp _ | Jcc _ | Ret | Syscall _ | Halt | Nop
     ->
     false
-
-(* Must the dynamic tracker's hook run here? True when the update could
-   mark, or change tracker state: clear a possibly-tainted register,
-   write over possibly-tainted shadow memory (a clean store is only a
-   shadow no-op when no memory taint exists), or handle a syscall. *)
-let needs_hook_in (instr : Vm.Isa.instr) s =
-  match instr with
-  | Mov (rd, Reg rs) -> s land (bit rd lor bit rs) <> 0
-  | Mov (rd, (Imm _ | Sym _)) -> s land bit rd <> 0
-  | Bin (_, rd, Reg rs) -> s land (bit rd lor bit rs) <> 0
-  | Bin (_, rd, (Imm _ | Sym _)) -> s land bit rd <> 0
-  | Not r | Neg r -> s land bit r <> 0
-  | Load (rd, _, _) | Loadb (rd, _, _) | Pop rd ->
-    s land (mem_bit lor bit rd) <> 0
-  | Store (_, _, rs) | Storeb (_, _, rs) | Push (Reg rs) ->
-    s land (bit rs lor mem_bit) <> 0
-  | Push (Imm _ | Sym _) -> s land mem_bit <> 0
-  | Call _ | CallInd _ -> s land mem_bit <> 0
-  | Syscall _ -> true
-  | Cmp _ | Jmp _ | Jcc _ | Ret | Halt | Nop -> false
 
 let analyze (prog : Vm.Program.t) : t =
   let t0 = Sys.time () in
@@ -217,18 +178,13 @@ let analyze (prog : Vm.Program.t) : t =
       segs
   done;
   (* Fold [H] (and [R] at return sites) into every stored state, then
-     read off [S] and [K]. *)
+     read off [S]. *)
   let prop =
     Array.map
       (fun s -> Bytes.make (Array.length s.Vm.Program.seg_instrs) '\000')
       segs
   in
-  let hook =
-    Array.map
-      (fun s -> Bytes.make (Array.length s.Vm.Program.seg_instrs) '\000')
-      segs
-  in
-  let total = ref 0 and n_prop = ref 0 and n_hook = ref 0 in
+  let total = ref 0 and n_prop = ref 0 in
   Array.iteri
     (fun si seg ->
       Array.iteri
@@ -240,10 +196,6 @@ let analyze (prog : Vm.Program.t) : t =
           if may_mark_in instr s then begin
             Bytes.set prop.(si) i '\001';
             incr n_prop
-          end;
-          if needs_hook_in instr s then begin
-            Bytes.set hook.(si) i '\001';
-            incr n_hook
           end)
         seg.Vm.Program.seg_instrs)
     segs;
@@ -251,71 +203,28 @@ let analyze (prog : Vm.Program.t) : t =
     sa_prog = prog;
     sa_in = states;
     sa_prop = prop;
-    sa_hook = hook;
-    sa_ret = ret_site;
     sa_total = !total;
     sa_prop_count = !n_prop;
-    sa_hook_count = !n_hook;
     sa_ms = (Sys.time () -. t0) *. 1000.;
   }
 
 let program t = t.sa_prog
 
-(** Does [t] describe this program? Static results are only valid for
-    the exact code they were computed from. Separate loads of the same
-    image at the same layout decode to fresh but equal segments, which
-    the decode-time content fingerprint recognizes in O(segments) — this
-    check runs once per pruned replay, and replays can be short enough
-    that an O(instructions) structural walk here is visible in the
-    replay's ns/instr. *)
-let matches t (prog : Vm.Program.t) =
-  t.sa_prog == prog
-  ||
-  let a = t.sa_prog.Vm.Program.segments and b = prog.Vm.Program.segments in
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun sa sb ->
-         sa.Vm.Program.seg_base = sb.Vm.Program.seg_base
-         && sa.Vm.Program.seg_limit = sb.Vm.Program.seg_limit
-         && sa.Vm.Program.seg_fp = sb.Vm.Program.seg_fp)
-       a b
-
-let lookup masks t pc =
+let may_propagate t pc =
   match Vm.Program.locate t.sa_prog pc with
-  | Some (si, i) -> Bytes.get masks.(si) i <> '\000'
+  | Some (si, i) -> Bytes.get t.sa_prop.(si) i <> '\000'
   | None -> false
-
-let may_propagate t pc = lookup t.sa_prop t pc
-let must_hook t pc = lookup t.sa_hook t pc
-
-(* Called from the pruned replay loop on every retired [Ret]; open-coded
-   segment search instead of [lookup] so the hot path never allocates
-   (Program.locate returns an option of a tuple). *)
-let is_return_site t pc =
-  let segs = t.sa_prog.Vm.Program.segments in
-  let n = Array.length segs in
-  let rec go i =
-    i < n
-    &&
-    let s = Array.unsafe_get segs i in
-    let off = pc - s.Vm.Program.seg_base in
-    if off >= 0 && pc < s.Vm.Program.seg_limit then
-      off land 3 = 0
-      && Bytes.unsafe_get (Array.unsafe_get t.sa_ret i) (off lsr 2) <> '\000'
-    else go (i + 1)
-  in
-  go 0
 
 let in_state t pc =
   match Vm.Program.locate t.sa_prog pc with
   | Some (si, i) -> Some t.sa_in.(si).(i)
   | None -> None
 
-let pcs_of masks t =
+let prop_pcs t =
   let segs = t.sa_prog.Vm.Program.segments in
   let acc = ref [] in
   for si = Array.length segs - 1 downto 0 do
-    let mask = masks.(si) in
+    let mask = t.sa_prop.(si) in
     let base = segs.(si).Vm.Program.seg_base in
     for i = Bytes.length mask - 1 downto 0 do
       if Bytes.get mask i <> '\000' then
@@ -324,18 +233,6 @@ let pcs_of masks t =
   done;
   !acc
 
-let prop_pcs t = pcs_of t.sa_prop t
-let hook_pcs t = pcs_of t.sa_hook t
 let total t = t.sa_total
 let prop_count t = t.sa_prop_count
-let hook_count t = t.sa_hook_count
 let analysis_ms t = t.sa_ms
-
-let reduction t =
-  if t.sa_total = 0 then 0.
-  else 1. -. (float_of_int t.sa_hook_count /. float_of_int t.sa_total)
-
-(* Per-segment hook mask for the fused replay loop: byte [i] is non-zero
-   iff the pc at instruction index [i] of segment [si] is in [K]. *)
-let hook_mask t si = t.sa_hook.(si)
-let ret_site_mask t si = t.sa_ret.(si)

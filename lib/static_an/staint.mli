@@ -1,5 +1,5 @@
-(** Static taint reachability: a provable over-approximation of the
-    dynamic engine in [Sweeper.Taint].
+(** Static taint reachability: an over-approximation of the dynamic
+    engine in [Sweeper.Taint] over every execution that follows the CFG.
 
     One abstract state per instruction — a bitmask of registers that may
     hold tainted data plus one global "memory may be tainted" bit
@@ -7,16 +7,14 @@
     Taint enters only at [Syscall sys_recv]. [Ret] flows into a shared
     return state joined into every {e return site} (the instruction
     after a call) — the context-insensitive "a return goes to some
-    return site" model, which pruned dynamic runs enforce with a
-    tripwire after every retired [Ret] (landing off the return-site set
-    reverts to full instrumentation, so the assumption is only relied on
-    where it was checked). [CallInd] and unresolved targets join into a
+    return site" model. [CallInd] and unresolved targets join into a
     global hijack state that feeds every instruction.
 
-    The result is two pc sets: [S] (may-propagate — a superset of every
-    pc the dynamic engine can ever mark) and its superset [K]
-    (must-hook — hooking only these pcs is byte-identical to hooking
-    every instruction, given the tripwire). *)
+    The result is the pc set [S] (may-propagate). It contains every pc
+    the dynamic engine marks on an execution that follows the CFG. It
+    does not cover hijacked control flow: a return that lands off every
+    return site leaves the model, and the dynamic engine can then mark
+    pcs outside [S]. *)
 
 type t
 
@@ -28,28 +26,13 @@ val analyze : Vm.Program.t -> t
 
 val program : t -> Vm.Program.t
 
-val matches : t -> Vm.Program.t -> bool
-(** Does [t] describe this program? Static results are only valid for
-    the exact code they were computed from. *)
-
 val may_propagate : t -> int -> bool
-(** pc ∈ [S]: the dynamic engine may record a taint propagation here.
-    [false] for addresses outside the program. *)
-
-val must_hook : t -> int -> bool
-(** pc ∈ [K]: the dynamic tracker's hook must run here for pruned runs
-    to be byte-identical ([S ⊆ K]). *)
-
-val is_return_site : t -> int -> bool
-(** Is this pc a return site (the instruction after a [Call]/[CallInd])?
-    The pruned tracker's [Ret] tripwire checks every return's landing pc
-    against this set; [false] for addresses outside the program. *)
+(** pc ∈ [S]: the dynamic engine may record a taint propagation here on
+    a CFG-following execution. [false] for addresses outside the
+    program. *)
 
 val prop_pcs : t -> int list
 (** [S] as an ascending pc list. *)
-
-val hook_pcs : t -> int list
-(** [K] as an ascending pc list. *)
 
 val in_state : t -> int -> int option
 (** The abstract in-state at a pc (for tests and debugging). *)
@@ -58,18 +41,6 @@ val total : t -> int
 (** Decoded instructions analyzed. *)
 
 val prop_count : t -> int
-val hook_count : t -> int
-
-val reduction : t -> float
-(** [1 - hook_count/total]: the fraction of instrumentation points a
-    pruned tracker run avoids relative to hooking every instruction. *)
 
 val analysis_ms : t -> float
 (** Analysis wall time, milliseconds. *)
-
-val hook_mask : t -> int -> Bytes.t
-(** Per-segment [K] mask (indexed like the segment's instruction array)
-    for fusing the check into a replay loop. *)
-
-val ret_site_mask : t -> int -> Bytes.t
-(** Per-segment return-site mask, indexed like {!hook_mask}. *)

@@ -15,10 +15,9 @@ type segment = {
   seg_fp : int;
       (** content fingerprint of [seg_instrs], fixed at construction:
           two segments with equal [(seg_base, seg_limit, seg_fp)] decode
-          the same code for identity-check purposes, so consumers that
-          must validate "same program?" per replay (e.g.
-          [Static_an.Staint.matches]) compare three ints per segment
-          instead of re-walking every instruction *)
+          the same code for identity-check purposes, so a "same
+          program?" check ([Static_an.Absint.matches]) compares three
+          ints per segment instead of re-walking every instruction *)
 }
 
 type t = { segments : segment array }

@@ -13,8 +13,8 @@ type segment = {
   seg_fp : int;
       (** content fingerprint of [seg_instrs], fixed by [make_segment]:
           separate decodes of the same image at the same layout get equal
-          fingerprints, so per-replay "same program?" validation (e.g.
-          {!Static_an.Staint.matches}) is three int compares per segment
+          fingerprints, so a "same program?" check
+          ({!Static_an.Absint.matches}) is three int compares per segment
           instead of a structural walk over every instruction *)
 }
 

@@ -36,11 +36,9 @@ require ns_per_instr_obs_enabled
 require obs_enabled_overhead_pct
 require ns_per_instr_flight_recorder
 require flight_recorder_slowdown_x
-# Tier-counter audit: the named configs plus the per-app pruned replays.
+# Tier-counter audit: the named configs.
 require tier_counters
-for config in hooked obs_on flight_recorder \
-              taint_pruned_apache1 taint_pruned_apache2 \
-              taint_pruned_cvs taint_pruned_squid; do
+for config in hooked obs_on flight_recorder; do
   require "$config"
 done
 require block
@@ -56,22 +54,15 @@ require ns_per_instr_membug_analysis
 # Checkpointing.
 require pages_copied_per_checkpoint
 require checkpoints
-# Static prefilter per-app rows.
-require static_prefilter
-for app in apache1 apache2 cvs squid; do
-  require "$app"
-done
-require static_hook_reduction_pct
-require exec_uninstrumented_pct
-require ns_per_instr_taint_global
-require ns_per_instr_taint_pruned
-require taint_pruned_delta_ns_per_instr
 # Interval abstract interpretation: elision ns/instr plus per-app
 # partition rows.
 require absint
 require ns_per_instr_block_guarded
 require ns_per_instr_block_elided
 require elision_speedup_x
+for app in apache1 apache2 cvs squid; do
+  require "$app"
+done
 require analysis_ms
 require accesses
 require proven

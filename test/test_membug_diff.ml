@@ -208,9 +208,6 @@ let faults_counted key () =
 let raising_hook_detaches () =
   let app = Minic.Driver.compile_app ~name:"hooks" (source_of clean_recipe) in
   let msg = message_of clean_recipe in
-  let static =
-    Static_an.Staint.analyze (load_and_poke app msg).Osim.Process.cpu.Vm.Cpu.code
-  in
   List.iter
     (fun (name, analysis) ->
       let proc = load_and_poke app msg in
@@ -240,7 +237,6 @@ let raising_hook_detaches () =
     [
       ("membug", fun p -> ignore (M.run p));
       ("taint", fun p -> ignore (Sweeper.Taint.run p));
-      ("taint pruned", fun p -> ignore (Sweeper.Taint.run_pruned ~static p));
       ("taint oracle", fun p -> ignore (Sweeper.Taint.Oracle.run p));
       ("slicing", fun p -> ignore (Sweeper.Slice.run p));
     ]

@@ -398,9 +398,24 @@ let test_malicious_antibody_round () =
   ignore (Sh.run_round c);
   let s = Sh.summary c in
   let rejections =
-    List.filter (fun (_, _, kind) -> kind = "antibody-rejected") s.Sh.sm_events
+    List.filter_map
+      (fun (_, host, kind) ->
+        if String.starts_with ~prefix:"antibody-rejected" kind then
+          Some (host, kind)
+        else None)
+      s.Sh.sm_events
   in
   check_int "each bundle rejected on every shard" 6 (List.length rejections);
+  List.iter
+    (fun (reason, _) ->
+      check_int
+        (reason ^ " recorded once per shard, as received")
+        2
+        (List.length
+           (List.filter
+              (( = ) (-1, "antibody-rejected:" ^ reason))
+              rejections)))
+    bundles;
   check_bool "no shard adopted a fabrication" true (s.Sh.sm_adoptions = []);
   check_bool "no antibody installed anywhere" true
     (s.Sh.sm_first_antibody_vtime_ms = None);
@@ -423,6 +438,52 @@ let test_malicious_antibody_round () =
   check_bool "legitimate antibody published" true
     (s2.Sh.sm_first_antibody_vtime_ms <> None);
   check_bool "another shard adopted it" true (s2.Sh.sm_adoptions <> [])
+
+(* A producer's own bundle faces the same bars. Here the reference copy
+   the shard validates against is apache2 while the hosts run apache1,
+   so the producer's honest apache1 bundle is rejected: the record must
+   name the producer and a reason the rejection counter agrees with. *)
+let test_producer_rejection_recorded () =
+  let calls = ref 0 in
+  let compile () =
+    incr calls;
+    let key = if !calls = 1 then "apache1" else "apache2" in
+    (Apps.Registry.find key).r_compile ()
+  in
+  let c =
+    Sh.create ~domains:1 ~shards:1 ~topology:Osim.Cluster.Uniform
+      ~app:"apache1" ~compile ~n:2 ~producers:1 ~seed:4242 ()
+  in
+  Sh.post_traffic c ~traffic:(fun h ->
+      workload 2 @ attack_for ~seed:4242 ~round:1 h @ workload 1);
+  ignore (Sh.run_round c);
+  let s = Sh.summary c in
+  let prefix = "antibody-rejected:" in
+  let rejections =
+    List.filter_map
+      (fun (_, host, kind) ->
+        if String.starts_with ~prefix kind then
+          Some
+            ( host,
+              String.sub kind (String.length prefix)
+                (String.length kind - String.length prefix) )
+        else None)
+      s.Sh.sm_events
+  in
+  check_bool "the producer's bundle was rejected" true (rejections <> []);
+  check_bool "nothing published" true (s.Sh.sm_first_antibody_vtime_ms = None);
+  List.iter
+    (fun (host, reason) ->
+      check_int (reason ^ ": recorded under the producer") 0 host;
+      check
+        Alcotest.(option (float 0.))
+        (reason ^ ": counter agrees with the record")
+        (Some
+           (float_of_int
+              (List.length (List.filter (fun (_, r) -> r = reason) rejections))))
+        (merged_value c ~labels:[ ("reason", reason) ]
+           "sweeper_antibody_rejected_total"))
+    rejections
 
 (* Deterministic qcheck runs by default; QCHECK_SEED overrides. *)
 let qcheck_rand () =
@@ -458,6 +519,8 @@ let () =
             test_backpressure_and_mailbox_bounds;
           Alcotest.test_case "malicious antibody rejected, legitimate adopted"
             `Quick test_malicious_antibody_round;
+          Alcotest.test_case "producer's rejected bundle is recorded" `Quick
+            test_producer_rejection_recorded;
           Alcotest.test_case "merged clock gauges are not sums" `Quick
             test_merged_clock_gauges;
           qt prop_sharded_oracle;

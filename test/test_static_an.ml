@@ -1,16 +1,13 @@
 (* The static analysis layer: CFG recovery edge cases, the worklist
-   dataflow anchors, and — the load-bearing part — the soundness contract
-   of the static taint prefilter:
+   dataflow anchors, and the contract of static taint reachability:
 
-   - for random MiniC programs, every pc the dynamic taint engine
-     propagates at must be in the static may-propagate set [S];
-   - replays pruned to the must-hook set [K] (fused and per-pc-hook
-     alike) must be byte-identical to fully instrumented ones;
-   - the per-[Ret] tripwire must restore full instrumentation when a
-     return lands off the statically assumed return-site set (exercised
-     by a hand-built hijack that returns into straight-line code);
-   - a whole pipeline run with the static-prefilter stage must render
-     the exact same Table 2 as one without it.
+   - for random MiniC programs and two real exploit replays, every pc
+     the dynamic taint engine propagates at must be in the static
+     may-propagate set [S];
+   - [S] covers CFG-following executions only: a hand-built hijack that
+     returns into straight-line code propagates taint at a pc outside
+     [S], which pins that scope;
+   - a real antibody's taint filter validates against [S].
 
    Plus the interval abstract interpretation ([Absint]) and everything
    hanging off it:
@@ -177,7 +174,7 @@ let test_max_stack_depth_balanced_call () =
   check_int "stack bound" 8 (Df.max_stack_depth cfg)
 
 (* ------------------------------------------------------------------ *)
-(* Random MiniC soundness + pruning identity                           *)
+(* Random MiniC soundness                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* Same program-recipe shape as the taint differential suite: one fixed
@@ -268,37 +265,20 @@ let load_and_poke app msg =
   ignore (Osim.Process.send_message proc msg);
   proc
 
-let summarize (res : Sweeper.Taint.result) =
-  ( Sweeper.Taint.verdict_to_string res.Sweeper.Taint.t_verdict,
-    Sweeper.Taint.verdict_msgs res.Sweeper.Taint.t_verdict,
-    res.Sweeper.Taint.t_prop_pcs,
-    res.Sweeper.Taint.t_instructions )
-
-(* One compile, three identical processes (same image, same ASLR seed,
-   same message): fully instrumented, fused-pruned, and per-pc-hook
-   pruned. The first must stay inside [S]; all three must agree
-   byte-for-byte. *)
+(* Every pc the dynamic engine marks on the program's replay must lie in
+   [S]. The hijack recipes fault at the smashed [Ret] or reach [exec]
+   through the CFG, so every run here follows it. *)
 let soundness_qcheck =
-  QCheck.Test.make
-    ~name:"dynamic taint within static S; pruned runs byte-identical"
-    ~count:25
+  QCheck.Test.make ~name:"dynamic taint within static S" ~count:25
     (QCheck.make ~print:print_recipe gen_recipe)
     (fun r ->
       let app = Minic.Driver.compile_app ~name:"stprog" (source_of r) in
-      let msg = message_of r in
-      let base = Sweeper.Taint.run (load_and_poke app msg) in
-      let proc_f = load_and_poke app msg in
-      let sa = St.analyze proc_f.Osim.Process.cpu.Vm.Cpu.code in
-      let fused = Sweeper.Taint.run ~static:sa proc_f in
-      let proc_p = load_and_poke app msg in
-      let sa_p = St.analyze proc_p.Osim.Process.cpu.Vm.Cpu.code in
-      let pruned = Sweeper.Taint.run_pruned ~static:sa_p proc_p in
-      List.for_all (St.may_propagate sa) base.Sweeper.Taint.t_prop_pcs
-      && summarize base = summarize fused
-      && summarize base = summarize pruned)
+      let proc = load_and_poke app (message_of r) in
+      let sa = St.analyze proc.Osim.Process.cpu.Vm.Cpu.code in
+      let base = Sweeper.Taint.run proc in
+      List.for_all (St.may_propagate sa) base.Sweeper.Taint.t_prop_pcs)
 
-(* S must also contain the propagation pcs of the four real exploit
-   replays, and K must cut the hook set by a substantial margin. *)
+(* S must also contain the propagation pcs of real exploit replays. *)
 let test_registry_soundness key () =
   let entry = Apps.Registry.find key in
   let prime () =
@@ -312,18 +292,11 @@ let test_registry_soundness key () =
       exploit.Apps.Exploits.x_messages;
     proc
   in
-  let base = Sweeper.Taint.run (prime ()) in
   let proc = prime () in
   let sa = St.analyze proc.Osim.Process.cpu.Vm.Cpu.code in
+  let base = Sweeper.Taint.run proc in
   check_bool "dynamic props inside S" true
-    (List.for_all (St.may_propagate sa) base.Sweeper.Taint.t_prop_pcs);
-  let pruned = Sweeper.Taint.run_pruned ~static:sa proc in
-  check_bool "pruned replay identical" true (summarize base = summarize pruned);
-  check_bool
-    (Printf.sprintf "hook reduction >= 30%% (got %.1f%%)"
-       (100. *. St.reduction sa))
-    true
-    (St.reduction sa >= 0.30)
+    (List.for_all (St.may_propagate sa) base.Sweeper.Taint.t_prop_pcs)
 
 (* ------------------------------------------------------------------ *)
 (* Interval abstract interpretation                                    *)
@@ -342,7 +315,6 @@ let test_degenerate_empty_segment () =
   in
   let sa = St.analyze prog in
   check_int "staint: nothing propagates" 0 (St.prop_count sa);
-  check_int "staint: nothing to hook" 0 (St.hook_count sa);
   let ai = Ab.analyze ~layout:degenerate_layout prog in
   check_int "absint: no instructions" 0 (Ab.instructions ai);
   check_int "absint: no accesses" 0 (Ab.accesses ai);
@@ -493,7 +465,7 @@ let test_elision_tripwire () =
   check_int "no trips without elision" 0 cpu2.Vm.Cpu.elision_trips
 
 (* ------------------------------------------------------------------ *)
-(* The return tripwire                                                 *)
+(* The scope of S: CFG-following executions                           *)
 (* ------------------------------------------------------------------ *)
 
 (* A hand-built program whose only interesting control transfer is a
@@ -501,22 +473,19 @@ let test_elision_tripwire () =
 
      main:    sub sp, 64            ; stack buffer
               recv(sp, 64)          ; taints the buffer
-              ldb r2, [sp+0]        ; r2 := tainted byte   (in K)
+              ldb r2, [sp+0]        ; r2 := tainted byte
               mov r3, $landing
               push r3
               ret                   ; lands at landing — NOT a return site
      landing: mov r4, r2            ; propagates taint — statically
-              add sp, 64            ;   unreachable, so outside S and K
+              add sp, 64            ;   unreachable, so outside S
               ret                   ; back to _start
 
    Statically, taint never reaches [landing] (a [Ret] only flows to
-   return sites), so its pcs are outside [K] and a pruned replay would
-   skip the r2→r4 propagation — unless the tripwire notices the landing
-   pc and restores full instrumentation. The assertions below both
-   require byte-identity and positively confirm the trip happened: the
-   landing pc shows up in the dynamic propagation set while being
-   outside [S]. *)
-let tripwire_app () =
+   return sites), so [landing] is outside [S]; dynamically, the r2→r4
+   move propagates taint there. [S] bounds what the dynamic engine marks
+   only on executions that follow the CFG, and this hijack does not. *)
+let hijack_app () =
   let items =
     [
       Vm.Asm.Label "main";
@@ -535,33 +504,22 @@ let tripwire_app () =
     ]
   in
   {
-    Minic.Codegen.unit_ = Vm.Asm.make_unit "tripwire" items;
+    Minic.Codegen.unit_ = Vm.Asm.make_unit "hijack" items;
     data = [];
     funcs = [ "main" ];
   }
 
-let test_ret_tripwire () =
-  let app = tripwire_app () in
-  let msg = "ABCD" in
-  let base = Sweeper.Taint.run (load_and_poke app msg) in
-  let proc_f = load_and_poke app msg in
-  let landing = Vm.Asm.symbol proc_f.Osim.Process.app_image "landing" in
-  let sa = St.analyze proc_f.Osim.Process.cpu.Vm.Cpu.code in
-  check_bool "landing is not a return site" false (St.is_return_site sa landing);
+let test_hijack_outside_s () =
+  let proc = load_and_poke (hijack_app ()) "ABCD" in
+  let landing = Vm.Asm.symbol proc.Osim.Process.app_image "landing" in
+  let sa = St.analyze proc.Osim.Process.cpu.Vm.Cpu.code in
+  let base = Sweeper.Taint.run proc in
   check_bool "landing outside S" false (St.may_propagate sa landing);
   check_bool "landing propagated dynamically" true
-    (List.mem landing base.Sweeper.Taint.t_prop_pcs);
-  let fused = Sweeper.Taint.run ~static:sa proc_f in
-  check_bool "fused-pruned identical despite the hijack" true
-    (summarize base = summarize fused);
-  let proc_p = load_and_poke app msg in
-  let sa_p = St.analyze proc_p.Osim.Process.cpu.Vm.Cpu.code in
-  let pruned = Sweeper.Taint.run_pruned ~static:sa_p proc_p in
-  check_bool "hook-pruned identical despite the hijack" true
-    (summarize base = summarize pruned)
+    (List.mem landing base.Sweeper.Taint.t_prop_pcs)
 
 (* ------------------------------------------------------------------ *)
-(* Whole-pipeline identity and antibody validation                     *)
+(* Antibody validation                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let crash_server ?(benign = 10) ?(seed = 42) key =
@@ -583,21 +541,6 @@ let crash_server ?(benign = 10) ?(seed = 42) key =
   match !fault with
   | Some f -> (proc, server, f)
   | None -> Alcotest.fail (key ^ ": exploit did not crash")
-
-let no_static_stages =
-  List.filter (fun s -> s != O.static_stage) O.default_stages
-
-let test_pipeline_table2_identical key () =
-  let proc_a, server_a, fault_a = crash_server key in
-  let r_a = O.handle_attack ~app:key server_a fault_a in
-  let proc_b, server_b, fault_b = crash_server key in
-  let r_b = O.handle_attack ~stages:no_static_stages ~app:key server_b fault_b in
-  check_str "Table 2 byte-identical with and without the prefilter"
-    (Sweeper.Report.table2_to_string proc_b r_b)
-    (Sweeper.Report.table2_to_string proc_a r_a);
-  check_bool "same taint propagation pcs" true
-    (r_a.O.a_taint.Sweeper.Taint.t_prop_pcs
-    = r_b.O.a_taint.Sweeper.Taint.t_prop_pcs)
 
 let test_antibody_validates_statically () =
   let proc, server, fault = crash_server "apache1" in
@@ -832,16 +775,11 @@ let () =
             (test_registry_soundness "apache1");
           Alcotest.test_case "squid exploit replay" `Quick
             (test_registry_soundness "squid");
-          Alcotest.test_case "return tripwire restores instrumentation" `Quick
-            test_ret_tripwire;
+          Alcotest.test_case "hijacked return lands outside S" `Quick
+            test_hijack_outside_s;
         ] );
       ( "pipeline",
         [
-          Alcotest.test_case "Table 2 identical with prefilter (apache1)"
-            `Quick
-            (test_pipeline_table2_identical "apache1");
-          Alcotest.test_case "Table 2 identical with prefilter (cvs)" `Quick
-            (test_pipeline_table2_identical "cvs");
           Alcotest.test_case "antibody validates against S" `Quick
             test_antibody_validates_statically;
           Alcotest.test_case "interval bar accepts real, rejects fabricated"

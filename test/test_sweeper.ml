@@ -787,8 +787,13 @@ let all_alive c =
       | `Filtered _ | `Crashed _ | `Infected _ -> false)
     (Sh.hosts c)
 
+(* Events whose kind starts with [kind]: a kind may carry a detail after
+   a colon ("antibody-rejected:<reason>"). *)
 let count_events s kind =
-  List.length (List.filter (fun (_, _, k) -> k = kind) s.Sh.sm_events)
+  List.length
+    (List.filter
+       (fun (_, _, k) -> String.starts_with ~prefix:kind k)
+       s.Sh.sm_events)
 
 let test_defense_community_contains_worm () =
   let entry = Apps.Registry.find "apache1" in
