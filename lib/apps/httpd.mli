@@ -14,12 +14,6 @@ val reqbuf_size : int
 (** Size of the request buffer; also the max message size the server
     reads. *)
 
-val v1_source : string
-(** MiniC source of the stack-smashing build (for the static linter). *)
-
-val v2_source : string
-(** MiniC source of the NULL-dereference build. *)
-
 val compile_v1 : unit -> Minic.Codegen.compiled
 (** The stack-smashing build ("Apache1"). *)
 

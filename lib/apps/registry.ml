@@ -10,7 +10,6 @@ type entry = {
   r_cve : string;
   r_bug_type : string;
   r_threat : string;
-  r_source : string;  (** MiniC source text (for the static linter) *)
   r_compile : unit -> Minic.Codegen.compiled;
   r_reqbuf_size : int;
   r_reqbuf_symbol : string;  (** global receive buffer (worm payload home) *)
@@ -26,7 +25,6 @@ let all =
       r_cve = "CVE-2003-0542";
       r_bug_type = "Stack Smashing";
       r_threat = "Local exploitable vulnerability enables unauthorized access";
-      r_source = Httpd.v1_source;
       r_compile = Httpd.compile_v1;
       r_reqbuf_size = Httpd.reqbuf_size;
       r_reqbuf_symbol = "reqbuf";
@@ -39,7 +37,6 @@ let all =
       r_cve = "CVE-2003-1054";
       r_bug_type = "NULL Pointer";
       r_threat = "Remotely exploitable vulnerability allows disruption of service";
-      r_source = Httpd.v2_source;
       r_compile = Httpd.compile_v2;
       r_reqbuf_size = Httpd.reqbuf_size;
       r_reqbuf_symbol = "reqbuf";
@@ -54,7 +51,6 @@ let all =
       r_threat =
         "Remotely exploitable vulnerability provides unauthorized access and \
          disruption of service";
-      r_source = Vcsd.source;
       r_compile = Vcsd.compile;
       r_reqbuf_size = Vcsd.reqbuf_size;
       r_reqbuf_symbol = "reqbuf";
@@ -69,7 +65,6 @@ let all =
       r_threat =
         "Remotely exploitable vulnerability provides unauthorized access and \
          disruption of service";
-      r_source = Proxyd.source;
       r_compile = Proxyd.compile;
       r_reqbuf_size = Proxyd.reqbuf_size;
       r_reqbuf_symbol = "reqbuf";

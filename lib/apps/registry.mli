@@ -10,7 +10,6 @@ type entry = {
   r_cve : string;
   r_bug_type : string;
   r_threat : string;
-  r_source : string;  (** MiniC source text (for the static linter) *)
   r_compile : unit -> Minic.Codegen.compiled;
   r_reqbuf_size : int;
   r_reqbuf_symbol : string;  (** global receive buffer (worm payload home) *)

@@ -10,7 +10,4 @@ val reqbuf_size : int
 (** Size of the request buffer; also the max message size the server
     reads. *)
 
-val source : string
-(** MiniC source text (for the static linter). *)
-
 val compile : unit -> Minic.Codegen.compiled

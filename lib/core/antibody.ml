@@ -80,36 +80,27 @@ let validate_feasible (proc : Osim.Process.t) (absint : Static_an.Absint.t) ab
     non-empty return means the bundle is stale (built for different
     code), corrupted, or names a pc only a hijacked execution reached —
     what an untrusting consumer wants to know before deploying a shared
-    artifact. [absint] additionally applies {!validate_feasible}'s
-    interval bar to the bundle's overflow checks. Returns the violations
-    as [(vsef name, offending pcs)]. *)
-let validate_static ?absint (proc : Osim.Process.t)
-    (static : Static_an.Staint.t) ab =
-  let taint_bad =
-    List.filter_map
-      (fun (v : Vsef.t) ->
-        match v.Vsef.v_check with
-        | Vsef.Taint_filter { prop; _ } -> (
-          let bad =
-            List.filter
-              (fun loc ->
-                not
-                  (Static_an.Staint.may_propagate static
-                     (Vsef.pc_of_loc proc loc)))
-              prop
-          in
-          match bad with
-          | [] -> None
-          | _ -> Some (v.Vsef.v_name, List.map (Vsef.pc_of_loc proc) bad))
-        | Vsef.Side_stack _ | Vsef.Null_check _ | Vsef.Free_guard _
-        | Vsef.Double_free_site _ | Vsef.Heap_bounds _ | Vsef.Store_guard _
-          ->
-          None)
-      ab.ab_vsefs
-  in
-  match absint with
-  | None -> taint_bad
-  | Some a -> taint_bad @ validate_feasible proc a ab
+    artifact. Returns the violations as [(vsef name, offending pcs)]. *)
+let validate_static (proc : Osim.Process.t) (static : Static_an.Staint.t) ab =
+  List.filter_map
+    (fun (v : Vsef.t) ->
+      match v.Vsef.v_check with
+      | Vsef.Taint_filter { prop; _ } -> (
+        let bad =
+          List.filter
+            (fun loc ->
+              not
+                (Static_an.Staint.may_propagate static
+                   (Vsef.pc_of_loc proc loc)))
+            prop
+        in
+        match bad with
+        | [] -> None
+        | _ -> Some (v.Vsef.v_name, List.map (Vsef.pc_of_loc proc) bad))
+      | Vsef.Side_stack _ | Vsef.Null_check _ | Vsef.Free_guard _
+      | Vsef.Double_free_site _ | Vsef.Heap_bounds _ | Vsef.Store_guard _ ->
+        None)
+    ab.ab_vsefs
 
 (** Deploy an antibody on a host: install the VSEFs on the process and the
     input signature at its network proxy. Returns the installed handles. *)

@@ -44,18 +44,13 @@ val validate_feasible :
     at — fabricated or corrupted. *)
 
 val validate_static :
-  ?absint:Static_an.Absint.t ->
-  Osim.Process.t ->
-  Static_an.Staint.t ->
-  t ->
-  (string * int list) list
+  Osim.Process.t -> Static_an.Staint.t -> t -> (string * int list) list
 (** Check every taint filter's propagation locations against the static
-    may-propagate set of [proc]'s code, plus — when [absint] is given —
-    {!validate_feasible}'s interval bar on the overflow checks. The set
-    covers executions that follow the CFG, so a filter generated from
-    such a run passes; a non-empty result (as
-    [(vsef name, offending pcs)]) means the bundle is stale, corrupted,
-    or names a pc only a hijacked execution reached. *)
+    may-propagate set of [proc]'s code. The set covers executions that
+    follow the CFG, so a filter generated from such a run passes; a
+    non-empty result (as [(vsef name, offending pcs)]) means the bundle
+    is stale, corrupted, or names a pc only a hijacked execution
+    reached. *)
 
 val deploy : Osim.Process.t -> t -> Vsef.installed list
 (** Install the VSEFs on the process and the input signature at its

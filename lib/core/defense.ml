@@ -210,28 +210,41 @@ module Sharded = struct
   (* Why a bundle must not be adopted, or [None] when it passes: the
      always-on static bars (every guarded overflow pc must be a statically
      feasible unsafe write; every taint-filter pc must lie in S), then the
-     opt-in exploit replay. *)
+     opt-in exploit replay. A static rejection comes with its detail,
+     " <vsef>@<loc>[,<loc>...]" per offending VSEF; locations are
+     segment-relative, so every shard renders the same text. *)
   let rejection sh antibody =
     let proc, staint = statics_of sh in
-    let absint = proc.Osim.Process.absint in
-    if Antibody.validate_feasible proc absint antibody <> [] then
-      Some "static-infeasible"
-    else if Antibody.validate_static proc staint antibody <> [] then
-      Some "pcs-outside-S"
-    else if sh.sh_verify && not (Antibody.verify antibody ~compile:sh.sh_compile)
-    then Some "replay-failed"
-    else None
+    let named reason bad =
+      let vsef (name, pcs) =
+        Printf.sprintf " %s@%s" name
+          (String.concat ","
+             (List.map
+                (fun pc -> Vsef.default_describe (Vsef.loc_of_pc proc pc))
+                pcs))
+      in
+      Some (reason, String.concat "" (List.map vsef bad))
+    in
+    match Antibody.validate_feasible proc proc.Osim.Process.absint antibody with
+    | _ :: _ as bad -> named "static-infeasible" bad
+    | [] -> (
+      match Antibody.validate_static proc staint antibody with
+      | _ :: _ as bad -> named "pcs-outside-S" bad
+      | [] ->
+        if sh.sh_verify && not (Antibody.verify antibody ~compile:sh.sh_compile)
+        then Some ("replay-failed", "")
+        else None)
 
   (* Publish an antibody on the shard — after validation: the static
      feasibility and taint bars always apply, and consumers that distrust
      the producer additionally verify the bundle against their own copy of
      the application (the deferred-verification option of Section 3.3).
      Returns [None] when the bundle was accepted, else the rejection
-     reason; rejections count in [sweeper_antibody_rejected_total] by
-     reason. *)
+     reason and its detail; rejections count in
+     [sweeper_antibody_rejected_total] by reason. *)
   let publish sh antibody =
     match rejection sh antibody with
-    | Some reason as rejected ->
+    | Some (reason, _) as rejected ->
       Obs.Metrics.inc (rejected_counter sh reason);
       Obs.Trace.instant ~cat:"community"
         ~args:[ ("reason", reason) ]
@@ -309,9 +322,10 @@ module Sharded = struct
   let record_event sh vt host_id kind =
     sh.sh_events_rev <- (vt, host_id, kind) :: sh.sh_events_rev
 
-  (* Rejections carry their reason, like ["filtered:<name>"]. *)
-  let record_rejection sh vt host_id reason =
-    record_event sh vt host_id ("antibody-rejected:" ^ reason)
+  (* Rejections carry their reason, like ["filtered:<name>"], then the
+     offending VSEFs. *)
+  let record_rejection sh vt host_id (reason, detail) =
+    record_event sh vt host_id ("antibody-rejected:" ^ reason ^ detail)
 
   let broadcast sh vt m =
     for dst = 0 to sh.sh_shards - 1 do
@@ -338,7 +352,7 @@ module Sharded = struct
         sh.sh_ab_prov <-
           Some (vt, e.Osim.Cluster.env_src, e.Osim.Cluster.env_seq);
         record_event sh vt (-1) "antibody-adopted"
-      | Some reason -> record_rejection sh vt (-1) reason)
+      | Some rejected -> record_rejection sh vt (-1) rejected)
     | Antibody_pub _ -> ()
     | Sample s -> record_exploit_sample sh s
 
@@ -358,7 +372,7 @@ module Sharded = struct
     let ab = report.Orchestrator.a_antibody in
     (match publish sh ab with
     | None -> if sh.sh_ab_origin = None then sh.sh_ab_origin <- origin
-    | Some reason -> record_rejection sh vt host.h_id reason);
+    | Some rejected -> record_rejection sh vt host.h_id rejected);
     host.h_deployed <- sh.sh_generation;
     Option.iter (List.iter (record_exploit_sample sh)) ab.Antibody.ab_exploit_input
 

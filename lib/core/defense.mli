@@ -102,7 +102,9 @@ module Sharded : sig
       (["static-infeasible"], ["pcs-outside-S"], ["replay-failed"]), and
       each is recorded in [sm_events] as ["antibody-rejected:<reason>"]:
       under the analyzing producer's host id when its own bundle fails,
-      under [-1] when a received one does. *)
+      under [-1] when a received one does. A static rejection appends
+      [" <vsef>@<loc>[,<loc>...]"] for each offending VSEF, with each
+      location rendered by {!Vsef.default_describe}. *)
 
   val hosts : community -> host list
   (** All hosts, sorted by global id. *)
@@ -161,7 +163,7 @@ module Sharded : sig
     sm_events : (float * int * string) list;
         (** (vtime, global host id, kind), sorted; a kind may carry a
             detail after a colon ("filtered:<name>",
-            "antibody-rejected:<reason>") *)
+            "antibody-rejected:<reason>[ <vsef>@<loc>,...]") *)
     sm_icounts : (int * int) list;  (** (global host id, icount), sorted *)
     sm_outputs : (int * (int * string) list) list;
         (** per-host committed outputs, by global host id *)

@@ -13,25 +13,11 @@ let wrap_front ~name f =
   | Sema.Error msg ->
     raise (Compile_error (Printf.sprintf "%s: %s" name msg))
 
-(** Run only the static overflow linter over one translation unit. *)
-let lint ~name src : Sema.lint list =
-  wrap_front ~name (fun () -> Sema.lint_prog (Parser.parse src))
-
 (** Compile one MiniC translation unit. [extern] declares functions
-    resolved at load time from another unit (see {!Libc.signatures}).
-    [werror] promotes static-linter findings to {!Compile_error}. *)
-let compile ~name ?(extern = []) ?(werror = false) src : Codegen.compiled =
-  let ast = wrap_front ~name (fun () -> Parser.parse src) in
-  (if werror then
-     match Sema.lint_prog ast with
-     | [] -> ()
-     | lints ->
-       raise
-         (Compile_error
-            (Printf.sprintf "%s: -Werror: %s" name
-               (String.concat "; " (List.map Sema.lint_to_string lints)))));
+    resolved at load time from another unit (see {!Libc.signatures}). *)
+let compile ~name ?(extern = []) src : Codegen.compiled =
   wrap_front ~name (fun () ->
-      Codegen.gen ~name (Sema.check ~extern_funcs:extern ast))
+      Codegen.gen ~name (Sema.check ~extern_funcs:extern (Parser.parse src)))
 
 let libc_cache : Codegen.compiled option ref = ref None
 let libc_lock = Mutex.create ()

@@ -2,21 +2,14 @@
 
 exception Compile_error of string
 
-val lint : name:string -> string -> Sema.lint list
-(** Run only the static overflow linter (no sema / codegen) over one
-    translation unit. Raises {!Compile_error} on lex/parse errors. *)
-
 val compile :
   name:string ->
   ?extern:(string * Ast.ty * Ast.ty list) list ->
-  ?werror:bool ->
   string ->
   Codegen.compiled
 (** Compile one translation unit. [extern] declares functions resolved at
-    load time from another unit (see {!Libc.signatures}). [werror]
-    (default [false]) promotes static overflow-linter findings to errors.
-    Raises {!Compile_error} with a located message on lex/parse/sema
-    errors and linter findings under [werror]. *)
+    load time from another unit (see {!Libc.signatures}). Raises
+    {!Compile_error} with a located message on lex/parse/sema errors. *)
 
 val libc : unit -> Codegen.compiled
 (** The compiled C library, memoized — it is the same for every process;

@@ -481,345 +481,3 @@ let check ?(extern_funcs = []) (prog : program) : tprog =
       env.strings
   in
   { tp_funcs = List.rev !funcs; tp_data = List.rev !data @ string_data }
-
-(* ------------------------------------------------------------------ *)
-(* Static overflow linter                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Two interval-backed rules over the untyped AST, aimed at the overflow
-   shapes the dynamic membug detector catches at replay time (stores
-   through a fixed buffer's end). A small flow-sensitive interval
-   analysis — condition refinement on [if]/[while]/[for] guards, widening
-   at loop heads — tracks every scalar's possible values, so the verdict
-   is semantic: a store index whose interval lies {e entirely} outside
-   the array is a proven overflow, one that merely straddles the end is a
-   possible overflow. This subsumes the earlier syntactic
-   const-oob-index / unbounded-copy rules: a constant bad index is the
-   singleton-interval special case, and a copy loop whose guard never
-   reins the index in widens the index to [+inf) and straddles.
-
-   Deliberately scoped to stores into {e named arrays} whose size is
-   visible in the unit being linted — copies through pointer parameters
-   are the callee's business (the caller's buffer is out of scope), which
-   keeps the linter's verdict aligned with "the overflowing store retires
-   in this image". The AST-level analysis is a best-effort linter, not a
-   proof system: writes through pointers are not modelled as havoc. The
-   sound interval analysis over the compiled code lives in
-   {!Static_an.Absint}. *)
-
-type lint = {
-  l_func : string;  (** enclosing function *)
-  l_rule : string;  (** {!lint_rule_proven} or {!lint_rule_possible} *)
-  l_msg : string;
-}
-
-let lint_rule_proven = "proven-oob-write"
-let lint_rule_possible = "possible-oob-write"
-
-let lint_to_string l = Printf.sprintf "%s: [%s] %s" l.l_func l.l_rule l.l_msg
-
-(* Does [e] contain a sub-expression satisfying [p]? Also serves as a
-   plain visitor when [p] is a side-effecting always-false predicate. *)
-let rec expr_contains p e =
-  p e
-  ||
-  match e with
-  | Num _ | Chr _ | Str _ | Var _ | Sizeof _ -> false
-  | Un (_, a) | Field (a, _) | Arrow (a, _) | Cast (_, a) -> expr_contains p a
-  | Bin (_, a, b) | Assign (a, b) | Index (a, b) ->
-    expr_contains p a || expr_contains p b
-  | Call (_, args) -> List.exists (expr_contains p) args
-  | Call_ptr (f, args) -> expr_contains p f || List.exists (expr_contains p) args
-  | Cond (a, b, c) ->
-    expr_contains p a || expr_contains p b || expr_contains p c
-
-(* Can the stored value carry data of unbounded provenance — a memory
-   read or a call result? Pure arithmetic on locals (an [itoa] digit
-   loop) is not a copy. *)
-let reads_memory rhs =
-  expr_contains
-    (function Index _ | Un (Deref, _) | Call _ | Call_ptr _ -> true | _ -> false)
-    rhs
-
-(* --- AST-level interval domain ------------------------------------- *)
-
-(* Bounded sentinels keep saturated arithmetic away from native-int
-   overflow: [l_ninf]/[l_pinf] act as -inf/+inf. *)
-let l_pinf = max_int / 4
-let l_ninf = -l_pinf
-
-type aiv = { alo : int; ahi : int }
-
-let aiv_top = { alo = l_ninf; ahi = l_pinf }
-let aiv_const k = { alo = k; ahi = k }
-let aiv_bool = { alo = 0; ahi = 1 }
-let aiv_sat v = if v >= l_pinf then l_pinf else if v <= l_ninf then l_ninf else v
-
-let aiv_join a b = { alo = min a.alo b.alo; ahi = max a.ahi b.ahi }
-let aiv_leq a b = b.alo <= a.alo && a.ahi <= b.ahi
-
-(* Intersect, keeping [a] untouched when the result would be empty — an
-   empty meet means the guarded branch is dead, and the linter prefers
-   checking dead code with the unrefined state over modelling bottom. *)
-let aiv_meet a b =
-  let lo = max a.alo b.alo and hi = min a.ahi b.ahi in
-  if lo <= hi then { alo = lo; ahi = hi } else a
-
-let aiv_widen old grown =
-  {
-    alo = (if grown.alo < old.alo then l_ninf else old.alo);
-    ahi = (if grown.ahi > old.ahi then l_pinf else old.ahi);
-  }
-
-let aiv_add a b = { alo = aiv_sat (a.alo + b.alo); ahi = aiv_sat (a.ahi + b.ahi) }
-let aiv_sub a b = { alo = aiv_sat (a.alo - b.ahi); ahi = aiv_sat (a.ahi - b.alo) }
-
-let aiv_mul a b =
-  let big v = v >= 1 lsl 20 || v <= -(1 lsl 20) in
-  if big a.alo || big a.ahi || big b.alo || big b.ahi then aiv_top
-  else
-    let p1 = a.alo * b.alo and p2 = a.alo * b.ahi in
-    let p3 = a.ahi * b.alo and p4 = a.ahi * b.ahi in
-    {
-      alo = min (min p1 p2) (min p3 p4);
-      ahi = max (max p1 p2) (max p3 p4);
-    }
-
-(* The scalar environment is an assoc list threaded exactly like scopes:
-   declarations and assignments prepend, lookups take the front-most
-   binding. [arrs] maps visible array names to their element counts. *)
-type aenv = { scal : (string * aiv) list; arrs : (string * int) list }
-
-let env_get env v =
-  match List.assoc_opt v env.scal with Some iv -> iv | None -> aiv_top
-
-let env_set env v iv = { env with scal = (v, iv) :: env.scal }
-
-(* Variable-wise join over the bindings visible in [base]; extra
-   bindings [other] grew (deeper declarations) are scoped out. *)
-let env_join base other =
-  let seen = Hashtbl.create 16 in
-  {
-    base with
-    scal =
-      List.filter_map
-        (fun (v, iv) ->
-          if Hashtbl.mem seen v then None
-          else begin
-            Hashtbl.add seen v ();
-            Some (v, aiv_join iv (env_get other v))
-          end)
-        base.scal;
-  }
-
-let env_leq a b =
-  List.for_all (fun (v, iv) -> aiv_leq iv (env_get b v)) a.scal
-
-let env_widen old grown =
-  {
-    old with
-    scal =
-      List.map (fun (v, iv) -> (v, aiv_widen iv (env_get grown v))) old.scal;
-  }
-
-(* Abstract value of an expression — pure: assignment effects are
-   applied by the statement walker, not here. *)
-let rec aeval env (e : expr) : aiv =
-  match e with
-  | Num k -> aiv_const k
-  | Chr c -> aiv_const (Char.code c)
-  | Var v -> env_get env v
-  | Un (Neg, a) ->
-    let iv = aeval env a in
-    { alo = aiv_sat (-iv.ahi); ahi = aiv_sat (-iv.alo) }
-  | Un (Lnot, _) -> aiv_bool
-  | Un ((Bnot | Addr_of | Deref), _) -> aiv_top
-  | Bin (Add, a, b) -> aiv_add (aeval env a) (aeval env b)
-  | Bin (Sub, a, b) -> aiv_sub (aeval env a) (aeval env b)
-  | Bin (Mul, a, b) -> aiv_mul (aeval env a) (aeval env b)
-  | Bin (Mod, a, Num k) when k > 0 ->
-    let iv = aeval env a in
-    if iv.alo >= 0 then { alo = 0; ahi = min iv.ahi (k - 1) } else aiv_top
-  | Bin (Div, a, Num k) when k > 0 ->
-    let iv = aeval env a in
-    if iv.alo >= 0 then { alo = 0; ahi = iv.ahi / k } else aiv_top
-  | Bin ((Div | Mod | Band | Bor | Bxor | Shl | Shr), _, _) -> aiv_top
-  | Bin ((Eq | Ne | Lt | Le | Gt | Ge | Land | Lor), _, _) -> aiv_bool
-  | Assign (_, rhs) -> aeval env rhs
-  | Cond (_, a, b) -> aiv_join (aeval env a) (aeval env b)
-  | Cast (_, a) -> aeval env a
-  | Str _ | Call _ | Call_ptr _ | Index _ | Field _ | Arrow _ | Sizeof _ ->
-    aiv_top
-
-(* Refine [env] with the knowledge that [cond] evaluated to [branch].
-   Handles direct variable-vs-expression comparisons (both orders),
-   conjunctions on the true branch, disjunctions on the false branch,
-   and [!]. Anything else refines nothing. *)
-let rec refine env cond branch =
-  match cond with
-  | Un (Lnot, c) -> refine env c (not branch)
-  | Bin (Land, a, b) when branch -> refine (refine env a true) b true
-  | Bin (Lor, a, b) when not branch -> refine (refine env a false) b false
-  | Bin ((Eq | Ne | Lt | Le | Gt | Ge) as op, Var v, rhs) ->
-    refine_cmp env v op (aeval env rhs) branch
-  | Bin ((Eq | Ne | Lt | Le | Gt | Ge) as op, lhs, Var v) ->
-    let flip = function
-      | Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op
-    in
-    refine_cmp env v (flip op) (aeval env lhs) branch
-  | _ -> env
-
-(* [v op k] is known [branch]; [k] may itself be an interval, so each
-   bound used must hold for {e every} concrete value of [k]: a true
-   [v < k] only guarantees [v <= k.ahi - 1], a false one only
-   [v >= k.alo]. *)
-and refine_cmp env v op k branch =
-  let iv = env_get env v in
-  let constrain =
-    match (op, branch) with
-    | Lt, true | Ge, false -> Some { alo = l_ninf; ahi = aiv_sat (k.ahi - 1) }
-    | Le, true | Gt, false -> Some { alo = l_ninf; ahi = k.ahi }
-    | Gt, true | Le, false -> Some { alo = aiv_sat (k.alo + 1); ahi = l_pinf }
-    | Ge, true | Lt, false -> Some { alo = k.alo; ahi = l_pinf }
-    | Eq, true | Ne, false -> Some k
-    | _ -> None
-  in
-  match constrain with
-  | Some c -> env_set env v (aiv_meet iv c)
-  | None -> env
-
-(** Lint a parsed program (no sema required — the analysis is over the
-    untyped AST, so even units that would fail later stages can be
-    linted). Returns findings in source order. *)
-let lint_prog (prog : program) : lint list =
-  let lints = ref [] in
-  let garrays =
-    List.filter_map
-      (function
-        | Gvar (Tarray (_, n), name, _) -> Some (name, n)
-        | Gvar _ | Gfunc _ | Gstruct _ -> None)
-      prog
-  in
-  let lint_func (f : func) =
-    let add rule msg =
-      let l = { l_func = f.f_name; l_rule = rule; l_msg = msg } in
-      if not (List.mem l !lints) then lints := l :: !lints
-    in
-    (* Check one store against the current interval state. [report]
-       gates finding emission so loop fixpoint iterations stay silent
-       and findings come from the post-fixpoint stable pass. *)
-    let check_store ~report env lhs rhs =
-      if report then
-        match lhs with
-        | Index (Var a, idx) -> (
-          match List.assoc_opt a env.arrs with
-          | Some n ->
-            let iv = aeval env idx in
-            let show v = if v <= l_ninf then "-inf" else if v >= l_pinf then "+inf" else string_of_int v in
-            if iv.ahi < 0 || iv.alo >= n then
-              add lint_rule_proven
-                (Printf.sprintf
-                   "store %s[%s..%s] is provably out of bounds for %s[%d]" a
-                   (show iv.alo) (show iv.ahi) a n)
-            else if (iv.alo < 0 || iv.ahi >= n) && reads_memory rhs then
-              add lint_rule_possible
-                (Printf.sprintf
-                   "store %s[%s..%s] of unbounded data may overflow %s[%d]" a
-                   (show iv.alo) (show iv.ahi) a n)
-          | None -> ())
-        | _ -> ()
-    in
-    (* Walk an expression for its assignment effects (and store checks),
-       returning the updated environment. *)
-    let rec exec_expr ~report env (e : expr) : aenv =
-      match e with
-      | Num _ | Chr _ | Str _ | Var _ | Sizeof _ -> env
-      | Un (_, a) | Field (a, _) | Arrow (a, _) | Cast (_, a) ->
-        exec_expr ~report env a
-      | Bin (_, a, b) | Index (a, b) ->
-        exec_expr ~report (exec_expr ~report env a) b
-      | Cond (c, a, b) ->
-        let env = exec_expr ~report env c in
-        env_join (exec_expr ~report env a) (exec_expr ~report env b)
-      | Call (_, args) -> List.fold_left (exec_expr ~report) env args
-      | Call_ptr (fe, args) ->
-        List.fold_left (exec_expr ~report) (exec_expr ~report env fe) args
-      | Assign (lhs, rhs) -> (
-        check_store ~report env lhs rhs;
-        let env = exec_expr ~report env rhs in
-        match lhs with
-        | Var v -> env_set env v (aeval env rhs)
-        | _ -> exec_expr ~report env lhs)
-    in
-    let rec exec_stmts ~report env stmts =
-      List.fold_left (exec_stmt ~report) env stmts
-    and exec_stmt ~report env (s : stmt) : aenv =
-      match s with
-      | Sdecl (ty, name, init) -> (
-        let env =
-          match init with Some e -> exec_expr ~report env e | None -> env
-        in
-        match ty with
-        | Tarray (_, n) -> { env with arrs = (name, n) :: env.arrs }
-        | _ ->
-          let iv =
-            match init with Some e -> aeval env e | None -> aiv_top
-          in
-          env_set env name iv)
-      | Sexpr e -> exec_expr ~report env e
-      | Sif (c, t, e) ->
-        let env = exec_expr ~report env c in
-        env_join
-          (exec_stmts ~report (refine env c true) t)
-          (exec_stmts ~report (refine env c false) e)
-      | Swhile (c, body) -> exec_loop ~report env ~cond:(Some c) None body
-      | Sfor (init, cond, step, body) ->
-        let env =
-          match init with Some s -> exec_stmt ~report env s | None -> env
-        in
-        exec_loop ~report env ~cond step body
-      | Sreturn e -> (
-        match e with Some e -> exec_expr ~report env e | None -> env)
-      | Sbreak | Scontinue -> env
-      | Sblock b ->
-        (* inner declarations scope out; effects on outer vars persist *)
-        env_join env (exec_stmts ~report env b)
-    (* Loop: silent fixpoint with widening after three joins, then one
-       reporting pass over the stable refined body state. The post-loop
-       state is the (unrefined) fixpoint — conservative w.r.t. breaks. *)
-    and exec_loop ~report env ~cond step body =
-      let body_once ~report env =
-        let env = match cond with Some c -> refine env c true | None -> env in
-        let env = exec_stmts ~report env body in
-        match step with Some e -> exec_expr ~report env e | None -> env
-      in
-      let rec fix n env =
-        let grown = env_join env (body_once ~report:false env) in
-        if env_leq grown env then env
-        else if n >= 3 then
-          let w = env_widen env grown in
-          if env_leq w env then env else fix (n + 1) w
-        else fix (n + 1) grown
-      in
-      let stable = fix 0 env in
-      if report then begin
-        (match cond with
-        | Some c -> ignore (exec_expr ~report stable c)
-        | None -> ());
-        ignore (body_once ~report stable)
-      end;
-      match cond with Some c -> refine stable c false | None -> stable
-    in
-    let params =
-      List.filter_map
-        (fun (ty, name) ->
-          match ty with Tarray (_, n) -> Some (name, n) | _ -> None)
-        f.f_params
-    in
-    ignore
-      (exec_stmts ~report:true
-         { scal = []; arrs = params @ garrays }
-         f.f_body)
-  in
-  List.iter (function Gfunc f -> lint_func f | Gvar _ | Gstruct _ -> ()) prog;
-  List.rev !lints

@@ -1,6 +1,6 @@
 (** Semantic analysis: scope resolution, struct layout, pointer-arithmetic
     scaling, and frame allocation. Produces the typed AST consumed by
-    {!Codegen}. Also home of the static overflow linter.
+    {!Codegen}.
 
     The analysis is deliberately permissive about C's weak typing (ints and
     pointers mix freely through casts) but strict about what the code
@@ -69,43 +69,3 @@ val check :
   tprog
 (** Analyze a parsed program. [extern_funcs] declares functions defined in
     another unit (name, return type, parameter types). Raises {!Error}. *)
-
-(** {1 Static overflow linter}
-
-    Two interval-backed rules over the untyped AST, aimed at the overflow
-    shapes the dynamic membug detector catches at replay time. A
-    flow-sensitive interval analysis — condition refinement on loop and
-    branch guards, widening at loop heads — tracks scalar values, so a
-    store index whose interval lies entirely outside its array is a
-    {e proven} overflow, and one straddling the end while storing
-    memory-derived (unbounded-provenance) data is a {e possible} one.
-    This subsumes the earlier syntactic const-oob-index/unbounded-copy
-    rules. Scoped to stores into named arrays whose size is visible in
-    the unit being linted — copies through pointer parameters are the
-    callee's business, which keeps the linter's verdict aligned with "the
-    overflowing store retires in this image". Best-effort at the AST
-    level (pointer writes are not modelled as havoc); the sound interval
-    analysis over compiled code is {!Static_an.Absint}. *)
-
-type lint = {
-  l_func : string;  (** enclosing function *)
-  l_rule : string;  (** {!lint_rule_proven} or {!lint_rule_possible} *)
-  l_msg : string;
-}
-
-val lint_rule_proven : string
-(** ["proven-oob-write"]: a store whose index interval is provably
-    outside the visible fixed-size array — every execution reaching the
-    store overflows. *)
-
-val lint_rule_possible : string
-(** ["possible-oob-write"]: a store of memory-derived data whose index
-    interval straddles the array bound — some abstract executions
-    overflow (e.g. a copy loop whose guard never reins the index in). *)
-
-val lint_to_string : lint -> string
-
-val lint_prog : Ast.program -> lint list
-(** Lint a parsed program (no sema required — the analysis runs on the
-    untyped AST, so even units that would fail later stages can be
-    linted). Returns findings in source order. *)

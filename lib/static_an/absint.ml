@@ -482,27 +482,6 @@ let analyze ?entries ?init_sp ?cfg ~(layout : Vm.Layout.t) (prog : P.t) =
     ab_ms = (Sys.time () -. t0) *. 1000.;
   }
 
-let program t = t.ab_prog
-
-let matches t (prog : P.t) =
-  t.ab_prog == prog
-  ||
-  let a = t.ab_prog.P.segments and b = prog.P.segments in
-  Array.length a = Array.length b
-  && begin
-       let ok = ref true in
-       Array.iteri
-         (fun i (sa : P.segment) ->
-           let sb = b.(i) in
-           if
-             sa.P.seg_base <> sb.P.seg_base
-             || sa.P.seg_limit <> sb.P.seg_limit
-             || sa.P.seg_fp <> sb.P.seg_fp
-           then ok := false)
-         a;
-       !ok
-     end
-
 let interval_at t ~pc ~reg =
   match P.locate t.ab_prog pc with
   | None -> None
@@ -525,9 +504,6 @@ let cls_of_byte t = function
   | _ -> None
 
 let classify t pc = cls_of_byte t (cls_byte t pc)
-
-let proven_safe t pc =
-  match cls_byte t pc with 'D' | 'K' -> true | _ -> false
 
 let safe_range t pc =
   match cls_byte t pc with

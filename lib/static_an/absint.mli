@@ -67,12 +67,6 @@ val analyze :
     block compilation) builds it once and passes it here; left out, the
     analysis builds its own. The result does not keep it. *)
 
-val program : t -> Vm.Program.t
-
-val matches : t -> Vm.Program.t -> bool
-(** Does [t] describe this program? Static results are only valid for
-    the exact code they were computed from (segment fingerprints). *)
-
 val interval_at : t -> pc:int -> reg:int -> iv option
 (** In-state interval of register [reg] just before executing [pc];
     [None] when the pc is unmapped or statically unreachable. Sound for
@@ -83,9 +77,6 @@ val classify : t -> int -> cls option
 (** The access partition entry for a pc; [None] when the instruction
     there is not a memory access (or the pc is unmapped). *)
 
-val proven_safe : t -> int -> bool
-(** pc is a memory access proven to stay inside one constant region. *)
-
 val safe_range : t -> int -> (int * int) option
 (** The constant region [\[lo, hi)] backing a proven access, in the form
     {!Vm.Block_compile} bakes into an elided closure; [None] for
@@ -94,7 +85,7 @@ val safe_range : t -> int -> (int * int) option
 val feasible_unsafe_write : t -> int -> bool
 (** pc is a store that could statically go out of bounds ([Possible] or
     [Oob]) — the feasibility bar a VSEF overflow check must clear in
-    {!Sweeper.Antibody.validate_static}. Proven-safe and unreachable
+    {!Sweeper.Antibody.validate_feasible}. Proven-safe and unreachable
     stores, and non-stores, are infeasible. *)
 
 val iter_accesses : t -> (int -> cls -> unit) -> unit

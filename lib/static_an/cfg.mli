@@ -48,7 +48,6 @@ val block_at : t -> int -> block option
 
 val succs : block -> int list
 val preds : block -> int list
-val edge_kind_name : edge_kind -> string
 
 val to_dot : ?name:string -> t -> string
 (** Graphviz rendering: one box per block listing its disassembly, edge

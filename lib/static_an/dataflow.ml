@@ -1,45 +1,20 @@
-(** Generic worklist dataflow solver over a {!Cfg}, plus three classic
-    instances (reaching definitions, liveness, max stack depth) used as
-    both sanity anchors for the framework and building blocks for tools.
+(** Stack-depth bound over a {!Cfg}, computed by a forward worklist
+    solver.
 
-    The solver is parameterized by the lattice ([join]/[bottom]/[eq]),
-    the per-block [transfer] function, and the direction. Conventions:
-
-    - [Forward]: [d_in.(b)] is the value at block entry, [d_out.(b)]
-      after the last instruction. Boundary blocks (no predecessors, or
-      starting at a segment base) additionally join [init] into their
-      entry value.
-    - [Backward]: [d_in.(b)] is the value at block {e exit}, [d_out.(b)]
-      at block entry (the transfer function walks instructions in
-      reverse). Boundary blocks are those with no successors.
-
+    [solve] is parameterized by the lattice ([join]/[bottom]/[eq]) and
+    the per-block [transfer] function, and returns the value at each
+    block's entry. Boundary blocks (no predecessors, or starting at a
+    segment base) additionally join [init] into their entry value.
     Termination needs the usual conditions: monotone transfer over a
     lattice with finite ascending chains (or a clamp, as in
     {!max_stack_depth}). *)
 
-module Int_set = Set.Make (Int)
-
-type direction = Forward | Backward
-
-type 'v result = { d_in : 'v array; d_out : 'v array }
-
-let solve (type v) ~dir ~(eq : v -> v -> bool) ~(join : v -> v -> v)
+let solve (type v) ~(eq : v -> v -> bool) ~(join : v -> v -> v)
     ~(bottom : v) ~(init : v) ~(transfer : Cfg.block -> v -> v) (cfg : Cfg.t) :
-    v result =
+    v array =
   let blocks = Cfg.blocks cfg in
   let n = Array.length blocks in
   let d_in = Array.make n bottom and d_out = Array.make n bottom in
-  let incoming b =
-    match dir with Forward -> Cfg.preds b | Backward -> Cfg.succs b
-  in
-  let outgoing b =
-    match dir with Forward -> Cfg.succs b | Backward -> Cfg.preds b
-  in
-  let boundary b =
-    match dir with
-    | Forward -> incoming b = [] || Cfg.is_entry cfg b
-    | Backward -> incoming b = []
-  in
   let on_list = Array.make n false in
   let work = Queue.create () in
   Array.iter
@@ -51,10 +26,9 @@ let solve (type v) ~dir ~(eq : v -> v -> bool) ~(join : v -> v -> v)
     let id = Queue.pop work in
     on_list.(id) <- false;
     let b = blocks.(id) in
-    let seed = if boundary b then init else bottom in
-    let inflow =
-      List.fold_left (fun acc p -> join acc d_out.(p)) seed (incoming b)
-    in
+    let preds = Cfg.preds b in
+    let seed = if preds = [] || Cfg.is_entry cfg b then init else bottom in
+    let inflow = List.fold_left (fun acc p -> join acc d_out.(p)) seed preds in
     let outflow = transfer b inflow in
     d_in.(id) <- inflow;
     if not (eq outflow d_out.(id)) then begin
@@ -65,93 +39,10 @@ let solve (type v) ~dir ~(eq : v -> v -> bool) ~(join : v -> v -> v)
             Queue.add s work;
             on_list.(s) <- true
           end)
-        (outgoing b)
+        (Cfg.succs b)
     end
   done;
-  { d_in; d_out }
-
-(* --- Instruction def/use sets ------------------------------------------- *)
-
-let sp = Vm.Isa.reg_index Vm.Isa.SP
-let r0 = Vm.Isa.reg_index Vm.Isa.R0
-
-(** Registers an instruction (re)defines, as indices. The syscall ABI
-    returns in [r0]; call/return machinery moves [sp]. *)
-let defs (i : Vm.Isa.instr) : int list =
-  let r x = Vm.Isa.reg_index x in
-  match i with
-  | Mov (rd, _) | Bin (_, rd, _) | Not rd | Neg rd
-  | Load (rd, _, _) | Loadb (rd, _, _) ->
-    [ r rd ]
-  | Pop rd -> [ r rd; sp ]
-  | Push _ | Call _ | CallInd _ | Ret -> [ sp ]
-  | Syscall _ -> [ r0 ]
-  | Store _ | Storeb _ | Cmp _ | Jmp _ | Jcc _ | Halt | Nop -> []
-
-(** Registers an instruction reads, as indices. The syscall ABI passes
-    arguments in [r0..r3]. *)
-let uses (i : Vm.Isa.instr) : int list =
-  let r x = Vm.Isa.reg_index x in
-  let op = function Vm.Isa.Reg x -> [ r x ] | Imm _ | Sym _ -> [] in
-  match i with
-  | Mov (_, o) -> op o
-  | Bin (_, rd, o) -> r rd :: op o
-  | Not rd | Neg rd -> [ r rd ]
-  | Load (_, rs, _) | Loadb (_, rs, _) -> [ r rs ]
-  | Store (rb, _, rs) | Storeb (rb, _, rs) -> [ r rb; r rs ]
-  | Push o -> sp :: op o
-  | Pop _ -> [ sp ]
-  | Cmp (rd, o) -> r rd :: op o
-  | CallInd rs -> [ r rs; sp ]
-  | Call _ | Ret -> [ sp ]
-  | Syscall _ -> [ 0; 1; 2; 3 ]
-  | Jmp _ | Jcc _ | Halt | Nop -> []
-
-(* --- Reaching definitions ----------------------------------------------- *)
-
-(** Per-register set of instruction addresses whose definition of that
-    register may reach the program point. *)
-type rdefs = Int_set.t array
-
-let rdefs_eq (a : rdefs) (b : rdefs) =
-  let ok = ref true in
-  Array.iteri (fun i s -> if not (Int_set.equal s b.(i)) then ok := false) a;
-  !ok
-
-let rdefs_join (a : rdefs) (b : rdefs) =
-  Array.init Vm.Isa.num_regs (fun i -> Int_set.union a.(i) b.(i))
-
-let rdefs_bottom () : rdefs = Array.make Vm.Isa.num_regs Int_set.empty
-
-let reaching_definitions (cfg : Cfg.t) : rdefs result =
-  let transfer (b : Cfg.block) (v : rdefs) =
-    let v = Array.copy v in
-    Array.iter
-      (fun (pc, instr) ->
-        List.iter (fun r -> v.(r) <- Int_set.singleton pc) (defs instr))
-      b.Cfg.b_instrs;
-    v
-  in
-  solve ~dir:Forward ~eq:rdefs_eq ~join:rdefs_join ~bottom:(rdefs_bottom ())
-    ~init:(rdefs_bottom ()) ~transfer cfg
-
-(* --- Liveness ------------------------------------------------------------ *)
-
-(** Backward liveness over register bitmasks (bit [i] = register index
-    [i] live). Nothing is assumed live at program exit. For [Backward]
-    direction, [d_out.(b)] is the live set at block entry. *)
-let liveness (cfg : Cfg.t) : int result =
-  let mask rs = List.fold_left (fun m r -> m lor (1 lsl r)) 0 rs in
-  let transfer (b : Cfg.block) live_out =
-    let live = ref live_out in
-    for i = Array.length b.Cfg.b_instrs - 1 downto 0 do
-      let _, instr = b.Cfg.b_instrs.(i) in
-      live := !live land lnot (mask (defs instr)) lor mask (uses instr)
-    done;
-    !live
-  in
-  solve ~dir:Backward ~eq:Int.equal ~join:( lor ) ~bottom:0 ~init:0 ~transfer
-    cfg
+  d_in
 
 (* --- Max stack depth ----------------------------------------------------- *)
 
@@ -192,14 +83,13 @@ let max_stack_depth (cfg : Cfg.t) : int =
         (fun d (_, instr) -> clamp (d + stack_delta instr))
         d b.Cfg.b_instrs
   in
-  let r =
-    solve ~dir:Forward ~eq:Int.equal ~join:max ~bottom:min_int ~init:0
-      ~transfer cfg
+  let d_in =
+    solve ~eq:Int.equal ~join:max ~bottom:min_int ~init:0 ~transfer cfg
   in
   let deepest = ref 0 in
   Array.iter
     (fun (b : Cfg.block) ->
-      let d = r.d_in.(b.Cfg.b_id) in
+      let d = d_in.(b.Cfg.b_id) in
       if d <> min_int then begin
         let d = ref d in
         Array.iter

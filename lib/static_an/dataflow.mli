@@ -1,49 +1,5 @@
-(** Generic worklist dataflow solver over a {!Cfg}, plus three classic
-    instances used as sanity anchors for the framework. *)
-
-module Int_set : Set.S with type elt = int
-
-type direction = Forward | Backward
-
-type 'v result = {
-  d_in : 'v array;  (** per block id: value flowing into the transfer *)
-  d_out : 'v array;  (** per block id: value produced by the transfer *)
-}
-
-val solve :
-  dir:direction ->
-  eq:('v -> 'v -> bool) ->
-  join:('v -> 'v -> 'v) ->
-  bottom:'v ->
-  init:'v ->
-  transfer:(Cfg.block -> 'v -> 'v) ->
-  Cfg.t ->
-  'v result
-(** Iterate [transfer] to a fixpoint with a worklist. For [Forward],
-    [d_in] is the block-entry value and boundary blocks (no
-    predecessors, or starting at a segment base) join [init] into their
-    entry; for [Backward], [d_in] is the block-{e exit} value, [d_out]
-    the block-entry value, and boundary blocks are those with no
-    successors. [transfer] must be monotone over a lattice with finite
-    ascending chains. *)
-
-val defs : Vm.Isa.instr -> int list
-(** Register indices an instruction (re)defines (syscalls define [r0];
-    call/return machinery moves [sp]). *)
-
-val uses : Vm.Isa.instr -> int list
-(** Register indices an instruction reads (syscalls read [r0..r3]). *)
-
-type rdefs = Int_set.t array
-(** Per-register set of instruction addresses whose definition may reach
-    the program point. *)
-
-val reaching_definitions : Cfg.t -> rdefs result
-
-val liveness : Cfg.t -> int result
-(** Backward liveness over register bitmasks (bit [i] = register index
-    [i] live); nothing assumed live at exit. [d_out] is the live set at
-    block entry. *)
+(** Stack-depth bound over a {!Cfg}, computed by a forward worklist
+    solver. *)
 
 val max_stack_depth : Cfg.t -> int
 (** Upper bound (clamped at [2^20] bytes so growing loops terminate) on

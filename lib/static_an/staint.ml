@@ -40,8 +40,6 @@ let mem_bit = 1 lsl Vm.Isa.num_regs
 
 type t = {
   sa_prog : Vm.Program.t;
-  sa_in : int array array;
-      (** per segment, per instruction: in-state with [H]/[R] joined in *)
   sa_prop : Bytes.t array;  (** [S] as per-segment masks, like prop_mask *)
   sa_total : int;
   sa_prop_count : int;
@@ -177,8 +175,8 @@ let analyze (prog : Vm.Program.t) : t =
         done)
       segs
   done;
-  (* Fold [H] (and [R] at return sites) into every stored state, then
-     read off [S]. *)
+  (* Fold [H] (and [R] at return sites) into every state to read off
+     [S]. *)
   let prop =
     Array.map
       (fun s -> Bytes.make (Array.length s.Vm.Program.seg_instrs) '\000')
@@ -191,7 +189,6 @@ let analyze (prog : Vm.Program.t) : t =
         (fun i instr ->
           let s = states.(si).(i) lor !h in
           let s = if is_ret_site si i then s lor !r else s in
-          states.(si).(i) <- s;
           incr total;
           if may_mark_in instr s then begin
             Bytes.set prop.(si) i '\001';
@@ -201,37 +198,16 @@ let analyze (prog : Vm.Program.t) : t =
     segs;
   {
     sa_prog = prog;
-    sa_in = states;
     sa_prop = prop;
     sa_total = !total;
     sa_prop_count = !n_prop;
     sa_ms = (Sys.time () -. t0) *. 1000.;
   }
 
-let program t = t.sa_prog
-
 let may_propagate t pc =
   match Vm.Program.locate t.sa_prog pc with
   | Some (si, i) -> Bytes.get t.sa_prop.(si) i <> '\000'
   | None -> false
-
-let in_state t pc =
-  match Vm.Program.locate t.sa_prog pc with
-  | Some (si, i) -> Some t.sa_in.(si).(i)
-  | None -> None
-
-let prop_pcs t =
-  let segs = t.sa_prog.Vm.Program.segments in
-  let acc = ref [] in
-  for si = Array.length segs - 1 downto 0 do
-    let mask = t.sa_prop.(si) in
-    let base = segs.(si).Vm.Program.seg_base in
-    for i = Bytes.length mask - 1 downto 0 do
-      if Bytes.get mask i <> '\000' then
-        acc := base + (i * Vm.Isa.instr_size) :: !acc
-    done
-  done;
-  !acc
 
 let total t = t.sa_total
 let prop_count t = t.sa_prop_count

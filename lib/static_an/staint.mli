@@ -2,8 +2,8 @@
     engine in [Sweeper.Taint] over every execution that follows the CFG.
 
     One abstract state per instruction — a bitmask of registers that may
-    hold tainted data plus one global "memory may be tainted" bit
-    ({!mem_bit}) — iterated to a fixpoint over the decoded program.
+    hold tainted data plus one global "memory may be tainted" bit —
+    iterated to a fixpoint over the decoded program.
     Taint enters only at [Syscall sys_recv]. [Ret] flows into a shared
     return state joined into every {e return site} (the instruction
     after a call) — the context-insensitive "a return goes to some
@@ -18,24 +18,12 @@
 
 type t
 
-val mem_bit : int
-(** The "some memory may be tainted" bit of an abstract state; bits
-    below it are register indices. *)
-
 val analyze : Vm.Program.t -> t
-
-val program : t -> Vm.Program.t
 
 val may_propagate : t -> int -> bool
 (** pc ∈ [S]: the dynamic engine may record a taint propagation here on
     a CFG-following execution. [false] for addresses outside the
     program. *)
-
-val prop_pcs : t -> int list
-(** [S] as an ascending pc list. *)
-
-val in_state : t -> int -> int option
-(** The abstract in-state at a pc (for tests and debugging). *)
 
 val total : t -> int
 (** Decoded instructions analyzed. *)

@@ -12,32 +12,15 @@ type segment = {
   seg_base : int;
   seg_limit : int;  (** exclusive: [seg_base + length * instr_size] *)
   seg_instrs : Isa.instr array;
-  seg_fp : int;
-      (** content fingerprint of [seg_instrs], fixed at construction:
-          two segments with equal [(seg_base, seg_limit, seg_fp)] decode
-          the same code for identity-check purposes, so a "same
-          program?" check ([Static_an.Absint.matches]) compares three
-          ints per segment instead of re-walking every instruction *)
 }
 
 type t = { segments : segment array }
-
-let fingerprint instrs =
-  (* [Hashtbl.hash] alone is useless here — it samples a bounded number
-     of words — so fold it per instruction with a multiplicative mix.
-     Instructions are small pure variants, well under the per-value
-     traversal limits. *)
-  Array.fold_left
-    (fun h ins -> ((h * 0x10531) + Hashtbl.hash ins) land max_int)
-    (Array.length instrs)
-    instrs
 
 let make_segment ~base instrs =
   {
     seg_base = base;
     seg_limit = base + (Array.length instrs * Isa.instr_size);
     seg_instrs = instrs;
-    seg_fp = fingerprint instrs;
   }
 
 let of_segments segs =

@@ -10,12 +10,6 @@ type segment = {
   seg_base : int;
   seg_limit : int;  (** exclusive: [seg_base + length * instr_size] *)
   seg_instrs : Isa.instr array;
-  seg_fp : int;
-      (** content fingerprint of [seg_instrs], fixed by [make_segment]:
-          separate decodes of the same image at the same layout get equal
-          fingerprints, so a "same program?" check
-          ({!Static_an.Absint.matches}) is three int compares per segment
-          instead of a structural walk over every instruction *)
 }
 
 type t = { segments : segment array }

@@ -321,10 +321,21 @@ let test_merged_clock_gauges () =
   check gauge "first antibody = summary vtime" first
     (merged_value c "sweeper_community_first_antibody_ms")
 
+(* The rejection reason of an "antibody-rejected:<reason>[ <detail>]"
+   event kind: the text after the colon, up to the first space. *)
+let rejection_reason kind =
+  let prefix = "antibody-rejected:" in
+  if String.starts_with ~prefix kind then
+    let n = String.length prefix in
+    let rest = String.sub kind n (String.length kind - n) in
+    Some (List.hd (String.split_on_char ' ' rest))
+  else None
+
 (* The supply-chain surface: a malicious producer broadcasts fabricated
    antibodies, one per rejection bar. Every shard's publication
    validation must reject each under its own reason, counted and logged
-   per shard; a legitimately analyzed bundle from real attack traffic
+   per shard, and a static rejection must name the offending VSEF with
+   its location; a legitimately analyzed bundle from real attack traffic
    must still be adopted.
    - static-infeasible: a Store_guard at a statically proven-safe store,
      where no CFG-following execution can overflow;
@@ -413,9 +424,20 @@ let test_malicious_antibody_round () =
         2
         (List.length
            (List.filter
-              (( = ) (-1, "antibody-rejected:" ^ reason))
+              (fun (host, kind) ->
+                host = -1 && rejection_reason kind = Some reason)
               rejections)))
     bundles;
+  List.iter
+    (fun (kind, vsef, loc) ->
+      let named = kind ^ " " ^ vsef ^ "@" ^ Sweeper.Vsef.default_describe loc in
+      check_int (named ^ " on every shard") 2
+        (List.length (List.filter (fun (_, k) -> k = named) rejections)))
+    [
+      ( "antibody-rejected:static-infeasible", "fabricated-store-guard",
+        safe_store );
+      ("antibody-rejected:pcs-outside-S", "fabricated-taint-filter", outside_s);
+    ];
   check_bool "no shard adopted a fabrication" true (s.Sh.sm_adoptions = []);
   check_bool "no antibody installed anywhere" true
     (s.Sh.sm_first_antibody_vtime_ms = None);
@@ -458,16 +480,10 @@ let test_producer_rejection_recorded () =
       workload 2 @ attack_for ~seed:4242 ~round:1 h @ workload 1);
   ignore (Sh.run_round c);
   let s = Sh.summary c in
-  let prefix = "antibody-rejected:" in
   let rejections =
     List.filter_map
       (fun (_, host, kind) ->
-        if String.starts_with ~prefix kind then
-          Some
-            ( host,
-              String.sub kind (String.length prefix)
-                (String.length kind - String.length prefix) )
-        else None)
+        Option.map (fun reason -> (host, reason)) (rejection_reason kind))
       s.Sh.sm_events
   in
   check_bool "the producer's bundle was rejected" true (rejections <> []);

@@ -1,5 +1,5 @@
-(* The static analysis layer: CFG recovery edge cases, the worklist
-   dataflow anchors, and the contract of static taint reachability:
+(* The static analysis layer: CFG recovery edge cases, the stack-depth
+   bound, and the contract of static taint reachability:
 
    - for random MiniC programs and two real exploit replays, every pc
      the dynamic taint engine propagates at must be in the static
@@ -20,10 +20,9 @@
      "proven" fact is violated;
    - the antibody feasibility bar accepts dynamically derived bundles
      and rejects fabricated ones;
-
-   plus the MiniC overflow linter: unit rules and the cross-check that
-   the statically flagged apps are exactly those where the dynamic
-   membug detector attributes an overflow-class store to the app image. *)
+   - static vs dynamic on every registry app: each overflow-class store
+     the membug detector reports is a statically feasible unsafe write,
+     and each honest bundle clears both static bars. *)
 
 module O = Sweeper.Orchestrator
 module St = Static_an.Staint
@@ -125,25 +124,8 @@ let test_cfg_dot_golden () =
     (Cfg.to_dot ~name:"golden" (Cfg.build prog))
 
 (* ------------------------------------------------------------------ *)
-(* Dataflow anchors                                                    *)
+(* Stack-depth bound                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let test_liveness_straight_line () =
-  (* r1 := 1; r0 := r1 (as a bin op reads r0 too); halt.  At entry of the
-     program nothing but the consumed inputs may be live. *)
-  let prog =
-    Vm.Program.of_instrs ~base:0
-      [| Mov (R1, Imm 1); Bin (Add, R0, Reg R1); Halt |]
-  in
-  let cfg = Cfg.build prog in
-  let live = Df.liveness cfg in
-  let entry_live = live.Df.d_out.(0) in
-  (* r0 is read by the add before any write: live at entry. r1 is written
-     first: dead at entry. *)
-  check_bool "r0 live at entry" true
-    (entry_live land (1 lsl reg_index R0) <> 0);
-  check_bool "r1 dead at entry" true
-    (entry_live land (1 lsl reg_index R1) = 0)
 
 let test_max_stack_depth_balanced_call () =
   (* main pushes one word and calls a leaf that pushes another; calls are
@@ -445,7 +427,8 @@ let test_elision_tripwire () =
   let cpu = proc.Osim.Process.cpu in
   let ai = proc.Osim.Process.absint in
   let store_pc = Vm.Asm.symbol proc.Osim.Process.app_image "thestore" in
-  check_bool "the store is proven safe" true (Ab.proven_safe ai store_pc);
+  check_bool "the store is proven safe" true
+    (Ab.safe_range ai store_pc <> None);
   Vm.Block_compile.install
     ~safe_of:(fun pc ->
       if pc = store_pc then Some (0x10, 0x20) else Ab.safe_range ai pc)
@@ -542,25 +525,47 @@ let crash_server ?(benign = 10) ?(seed = 42) key =
   | Some f -> (proc, server, f)
   | None -> Alcotest.fail (key ^ ": exploit did not crash")
 
+(* Static vs dynamic on the one interval domain, for every registry app:
+   each overflow-class store the membug detector reports (stack smash,
+   heap overflow) must be a statically feasible unsafe write, and the
+   honest bundle must clear both static bars — the interval bar on its
+   overflow checks and S on its taint filters. *)
 let test_antibody_validates_statically () =
-  let proc, server, fault = crash_server "apache1" in
-  let r = O.handle_attack ~app:"apache1" server fault in
-  let sa = St.analyze proc.Osim.Process.cpu.Vm.Cpu.code in
-  check_bool "taint-filter pcs all inside S" true
-    (Sweeper.Antibody.validate_static proc sa r.O.a_antibody = [])
+  List.iter
+    (fun (e : Apps.Registry.entry) ->
+      let key = e.r_key in
+      let proc, server, fault = crash_server key in
+      let r = O.handle_attack ~app:key server fault in
+      let ai = proc.Osim.Process.absint in
+      let sa = St.analyze proc.Osim.Process.cpu.Vm.Cpu.code in
+      List.iter
+        (function
+          | Sweeper.Membug.Stack_smash { store_pc; _ }
+          | Sweeper.Membug.Heap_overflow { store_pc; _ } ->
+            check_bool
+              (Printf.sprintf "%s: overflow store 0x%x statically feasible"
+                 key store_pc)
+              true
+              (Ab.feasible_unsafe_write ai store_pc)
+          | Sweeper.Membug.Double_free _ | Sweeper.Membug.Dangling_write _ ->
+            ())
+        r.O.a_membug.Sweeper.Membug.m_findings;
+      check_bool (key ^ ": overflow checks clear the interval bar") true
+        (Sweeper.Antibody.validate_feasible proc ai r.O.a_antibody = []);
+      check_bool (key ^ ": taint-filter pcs all inside S") true
+        (Sweeper.Antibody.validate_static proc sa r.O.a_antibody = []))
+    Apps.Registry.all
 
 (* The interval bar on antibody verification: a legitimately analyzed
    bundle's overflow checks sit at statically feasible unsafe writes and
    pass; a fabricated Store_guard at a proven-safe store — a pc no
-   honest analysis can emit — is rejected, through [validate_feasible]
-   directly and through the [?absint] path of [validate_static]. *)
+   honest analysis can emit — is rejected. *)
 let test_validate_feasible_accept_reject () =
   let proc, server, fault = crash_server "apache1" in
   let r = O.handle_attack ~app:"apache1" server fault in
   let ai = proc.Osim.Process.absint in
-  let sa = St.analyze proc.Osim.Process.cpu.Vm.Cpu.code in
   check_bool "legitimate bundle clears the interval bar" true
-    (Sweeper.Antibody.validate_static ~absint:ai proc sa r.O.a_antibody = []);
+    (Sweeper.Antibody.validate_feasible proc ai r.O.a_antibody = []);
   let safe_pc = ref None in
   Static_an.Absint.iter_accesses ai (fun pc cls ->
       match (cls, !safe_pc) with
@@ -590,143 +595,7 @@ let test_validate_feasible_accept_reject () =
   (match Sweeper.Antibody.validate_feasible proc ai fake with
   | [ (name, _) ] -> check_str "names the fabricated vsef"
                        "fabricated-store-guard" name
-  | _ -> Alcotest.fail "expected exactly one feasibility violation");
-  check_bool "validate_static rejects it too" true
-    (Sweeper.Antibody.validate_static ~absint:ai proc sa fake <> [])
-
-(* ------------------------------------------------------------------ *)
-(* The MiniC overflow linter                                           *)
-(* ------------------------------------------------------------------ *)
-
-let lint src = Minic.Driver.lint ~name:"lint-test" src
-
-let rules lints = List.map (fun l -> l.Minic.Sema.l_rule) lints
-
-let test_lint_const_oob () =
-  let ls = lint "int a[4]; int main() { a[5] = 1; return a[3]; }" in
-  check_bool "a[5] flagged" true
-    (rules ls = [ Minic.Sema.lint_rule_proven ]);
-  check_int "in-bounds access clean" 0
-    (List.length (lint "int a[4]; int main() { a[3] = 1; return a[0]; }"))
-
-let test_lint_unbounded_copy () =
-  let unbounded =
-    {|
-    char dst[16];
-    int main(char *s) {
-      int i = 0;
-      while (s[i] != 0) { dst[i] = s[i]; i = i + 1; }
-      return 0;
-    }
-  |}
-  in
-  check_bool "unbounded copy flagged" true
-    (rules (lint unbounded) = [ Minic.Sema.lint_rule_possible ])
-
-let test_lint_bounded_copy_clean () =
-  let bounded =
-    {|
-    char dst[16];
-    int main(char *s) {
-      int i = 0;
-      while (s[i] != 0 && i < 15) { dst[i] = s[i]; i = i + 1; }
-      return 0;
-    }
-  |}
-  in
-  check_int "bounded copy clean" 0 (List.length (lint bounded))
-
-let test_lint_bound_exceeds_buffer () =
-  let off_by_lots =
-    {|
-    char dst[16];
-    int main(char *s) {
-      int i = 0;
-      while (s[i] != 0 && i < 64) { dst[i] = s[i]; i = i + 1; }
-      return 0;
-    }
-  |}
-  in
-  check_bool "constant bound past the buffer still flagged" true
-    (rules (lint off_by_lots) = [ Minic.Sema.lint_rule_possible ])
-
-let test_lint_constant_stores_clean () =
-  (* itoa-style digit loop: the stored value derives from arithmetic, not
-     from memory — not a copy, not flagged. *)
-  let digits =
-    {|
-    char dst[16];
-    int main(int v) {
-      int i = 0;
-      while (v > 0) { dst[i] = (char)(48 + v % 10); v = v / 10; i = i + 1; }
-      return i;
-    }
-  |}
-  in
-  check_int "digit loop clean" 0 (List.length (lint digits))
-
-let test_lint_werror () =
-  let src = "int a[4]; int main() { a[9] = 1; return 0; }" in
-  check_bool "werror raises" true
-    (match Minic.Driver.compile ~name:"w" ~werror:true src with
-    | exception Minic.Driver.Compile_error msg ->
-      let has s sub =
-        let ns = String.length s and nb = String.length sub in
-        let rec go i =
-          i + nb <= ns && (String.sub s i nb = sub || go (i + 1))
-        in
-        go 0
-      in
-      has msg "-Werror"
-    | _ -> false);
-  check_bool "compiles without werror" true
-    (match Minic.Driver.compile ~name:"w" src with
-    | _ -> true
-    | exception _ -> false)
-
-(* Cross-check: the set of registry apps the linter flags must equal the
-   set where the dynamic membug detector attributes an overflow-class
-   finding (stack smash / heap overflow) to a store {e in the app image}.
-   Library-side overflows (squid's strcat) are out of the linter's scope
-   by design: the app sources it sees contain no overflowing store. *)
-let test_lint_matches_dynamic_overflows () =
-  let lint_flagged =
-    List.filter_map
-      (fun (e : Apps.Registry.entry) ->
-        match Minic.Driver.lint ~name:e.r_key e.r_source with
-        | [] -> None
-        | _ -> Some e.r_key)
-      Apps.Registry.all
-  in
-  let dynamic_flagged =
-    List.filter_map
-      (fun (e : Apps.Registry.entry) ->
-        let proc, server, fault = crash_server e.r_key in
-        let r = O.handle_attack ~app:e.r_key server fault in
-        let app_overflow =
-          List.exists
-            (fun f ->
-              match f with
-              | Sweeper.Membug.Stack_smash { store_pc; _ }
-              | Sweeper.Membug.Heap_overflow { store_pc; _ } ->
-                (Sweeper.Vsef.loc_of_pc proc store_pc).Sweeper.Vsef.l_seg
-                = `App
-              | Sweeper.Membug.Double_free _
-              | Sweeper.Membug.Dangling_write _ ->
-                false)
-            r.O.a_membug.Sweeper.Membug.m_findings
-        in
-        if app_overflow then Some e.r_key else None)
-      Apps.Registry.all
-  in
-  check_bool
-    (Printf.sprintf "lint {%s} == dynamic app-image overflows {%s}"
-       (String.concat "," lint_flagged)
-       (String.concat "," dynamic_flagged))
-    true
-    (lint_flagged = dynamic_flagged);
-  check_bool "the set is exactly {apache1}" true
-    (lint_flagged = [ "apache1" ])
+  | _ -> Alcotest.fail "expected exactly one feasibility violation")
 
 (* ------------------------------------------------------------------ *)
 
@@ -747,8 +616,6 @@ let () =
         ] );
       ( "dataflow",
         [
-          Alcotest.test_case "liveness at entry" `Quick
-            test_liveness_straight_line;
           Alcotest.test_case "stack depth of a balanced call" `Quick
             test_max_stack_depth_balanced_call;
         ] );
@@ -784,20 +651,5 @@ let () =
             test_antibody_validates_statically;
           Alcotest.test_case "interval bar accepts real, rejects fabricated"
             `Quick test_validate_feasible_accept_reject;
-        ] );
-      ( "lint",
-        [
-          Alcotest.test_case "constant OOB index" `Quick test_lint_const_oob;
-          Alcotest.test_case "unbounded copy loop" `Quick
-            test_lint_unbounded_copy;
-          Alcotest.test_case "bounded copy is clean" `Quick
-            test_lint_bounded_copy_clean;
-          Alcotest.test_case "bound past the buffer" `Quick
-            test_lint_bound_exceeds_buffer;
-          Alcotest.test_case "constant stores are clean" `Quick
-            test_lint_constant_stores_clean;
-          Alcotest.test_case "-Werror promotion" `Quick test_lint_werror;
-          Alcotest.test_case "lint set == dynamic app-image overflow set"
-            `Quick test_lint_matches_dynamic_overflows;
         ] );
     ]
