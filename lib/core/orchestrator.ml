@@ -157,7 +157,9 @@ let slicing_stage =
     run =
       (fun cx ->
         let r =
-          Stage.Replay.analyze cx (Slice.run ~fuel:Stage.Replay.analysis_fuel)
+          Stage.Replay.analyze cx
+            (Slice.run ~fuel:Stage.Replay.analysis_fuel
+               ~window:cx.Stage.cx_window)
         in
         { cx with Stage.cx_slice = Some r });
     instructions =

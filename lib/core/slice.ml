@@ -7,7 +7,9 @@
     faulting instruction is the set of dynamic instructions that influenced
     it — a superset of what taint analysis sees (it includes pointer and
     control-flow influence), which is why it can act as a sanity check on
-    every other analysis (Section 3.2). *)
+    every other analysis (Section 3.2). Every dependence names an earlier
+    node, so each slice, backward or forward, is one linear sweep over the
+    graph. *)
 
 module Int_set = Set.Make (Int)
 
@@ -28,12 +30,13 @@ let tlb_size = 16
    32 bits) with the offset of its dependences in [deps] (high bits): its
    data and flag dependences are [deps.(dep_lo s) .. deps.(dep_lo (s + 1)
    - 1)], each an earlier node, deduplicated. Entry [nodes.(count)] is the
-   sentinel holding the next node's offset. Both are growable unboxed
-   [int] arrays, so recording an instruction allocates nothing. The
-   control dependence every node has — the last branch before it — is not
-   stored: [anchors] marks the nodes that set it, so it is the nearest
-   marked node below [s]. Receive (network-input source) nodes are rare
-   and live in a short list. *)
+   sentinel holding the next node's offset. Both are unboxed [int] arrays,
+   sized up front from the replay window when it is known ({!create}), so
+   recording an instruction allocates nothing. The control dependence
+   every node has — the last branch before it — is not stored: [anchors]
+   marks the nodes that set it, so it is the nearest marked node below
+   [s]. Receive (network-input source) nodes are rare and live in a short
+   list. *)
 type t = {
   proc : Osim.Process.t;
   mutable count : int;               (** nodes recorded *)
@@ -55,14 +58,22 @@ type t = {
    arguments), four memory bytes, the flags. *)
 let max_deps = 9
 
-let create proc =
+(* A graph for a replay of [window] instructions, clamped to [fuel]:
+   sized once, with room for 3/2 dependences per node (the exploit
+   replays record 1.27–1.32), so a faithful replay never grows it.
+   Without a window it starts small. Either way [reserve] doubles past
+   the size. *)
+let create ?window ~fuel proc =
+  let n =
+    match window with Some w -> max 0 (min w fuel) + 2 | None -> 4096
+  in
   {
     proc;
     count = 0;
-    nodes = Array.make 4096 0;
-    deps = Array.make 16384 0;
+    nodes = Array.make n 0;
+    deps = Array.make (max max_deps (n + (n / 2))) 0;
     dlen = 0;
-    anchors = Bytes.make 4096 '\000';
+    anchors = Bytes.make n '\000';
     recvs = [];
     last_reg = Array.make Vm.Isa.num_regs (-1);
     last_mem = Hashtbl.create 64;
@@ -419,11 +430,11 @@ let fault_deps st =
   (pc, !acc)
 
 (* ------------------------------------------------------------------ *)
-(* Slice walks                                                         *)
+(* Slice sweeps                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Static pcs of a walk: one mark byte per instruction of each code
-   segment, with the last segment hit cached (a walk stays mostly inside
+(* Static pcs of a slice: one mark byte per instruction of each code
+   segment, with the last segment hit cached (a slice stays mostly inside
    one image), folded into a set once at the end. *)
 type pc_marks = {
   segs : Vm.Program.segment array;
@@ -463,44 +474,17 @@ let pcs_of m =
   done;
   Int_set.of_list !acc
 
-(* Scan down from [i] for the control dependence of the node above it:
-   the nearest anchor at or below [i] (-1 if none). A visited non-anchor
-   on the way ends the scan early with -1: it shares that anchor, and the
-   walk pushes it when processing that node. *)
-let rec anchor_below anchors seen i =
-  if i < 0 || Bytes.unsafe_get anchors i <> '\000' then i
-  else if Bytes.unsafe_get seen i <> '\000' then -1
-  else anchor_below anchors seen (i - 1)
-
-(* Iterative graph walk from [seeds] over a CSR graph of the [nodes]/[deps]
-   shape (node [s]'s neighbours are [adj.(dep_lo nodes s) .. adj.(dep_lo
-   nodes (s + 1) - 1)], plus its control dependence when [ctrl]). Marks
-   visited nodes in the returned bytes and their pcs in [m]; also returns
-   how many nodes it visited. *)
-let walk st m ~ctrl ~nodes ~adj seeds =
+(* Every stored dependence, and every node's control dependence, is an
+   earlier node, so a slice is one linear sweep: a node's membership is
+   final when the sweep reaches it, with no stack and no transposed graph.
+   A sweep marks its members in one byte per node, starting from [seeds]. *)
+let sweep_init st seeds =
   let n = st.count in
-  let seen = Bytes.make (max 1 n) '\000' in
-  let stack = ref (Array.make 1024 0) and top = ref 0 and visited = ref 0 in
-  let push s =
-    if s >= 0 && s < n && Bytes.unsafe_get seen s = '\000' then begin
-      Bytes.unsafe_set seen s '\001';
-      incr visited;
-      mark_pc m (pc_of nodes s);
-      if !top = Array.length !stack then stack := grow !stack (2 * !top);
-      Array.unsafe_set !stack !top s;
-      incr top
-    end
-  in
-  List.iter push seeds;
-  while !top > 0 do
-    decr top;
-    let s = Array.unsafe_get !stack !top in
-    for e = dep_lo nodes s to dep_lo nodes (s + 1) - 1 do
-      push (Array.unsafe_get adj e)
-    done;
-    if ctrl then push (anchor_below st.anchors seen (s - 1))
-  done;
-  (seen, !visited)
+  let in_slice = Bytes.make (max 1 n) '\000' in
+  List.iter
+    (fun s -> if s >= 0 && s < n then Bytes.unsafe_set in_slice s '\001')
+    seeds;
+  in_slice
 
 type summary = {
   s_nodes : int;              (** dynamic instructions in the window *)
@@ -510,12 +494,25 @@ type summary = {
   s_fault_pc : int;
 }
 
-(** Walk backward from the given roots. *)
+(* Sweep backward from [roots], descending: a node joins when a later
+   member names it. A member's control dependence is the first anchor
+   below it, which then joins and depends on the next anchor down, so
+   every anchor below the highest member joins. *)
 let backward st ~fault_pc ~roots : summary =
   let m = pc_marks st in
-  let in_slice, size =
-    walk st m ~ctrl:true ~nodes:st.nodes ~adj:st.deps roots
-  in
+  let in_slice = sweep_init st roots and size = ref 0 and below = ref false in
+  for s = st.count - 1 downto 0 do
+    if !below && Bytes.unsafe_get st.anchors s <> '\000' then
+      Bytes.unsafe_set in_slice s '\001';
+    if Bytes.unsafe_get in_slice s <> '\000' then begin
+      incr size;
+      mark_pc m (pc_of st.nodes s);
+      for e = dep_lo st.nodes s to dep_lo st.nodes (s + 1) - 1 do
+        Bytes.unsafe_set in_slice (Array.unsafe_get st.deps e) '\001'
+      done;
+      below := true
+    end
+  done;
   let msgs =
     List.fold_left
       (fun acc (s, msg) ->
@@ -524,7 +521,7 @@ let backward st ~fault_pc ~roots : summary =
   in
   {
     s_nodes = st.count;
-    s_slice_size = size;
+    s_slice_size = !size;
     s_pcs = Int_set.add fault_pc (pcs_of m);
     s_msgs = msgs;
     s_fault_pc = fault_pc;
@@ -548,49 +545,11 @@ let verifies (s : summary) pc = Int_set.mem pc s.s_pcs
     set — e.g. everything a particular network input could have touched
     ("a forward slice from the exploit input would reveal all instructions
     and memory potentially tainted by it", Section 3.2). Computed from the
-    same dependence graph, walked in the other direction. *)
+    same dependence graph, swept in the other direction. *)
 type forward = {
   fw_size : int;          (** dynamic instructions influenced *)
   fw_pcs : Int_set.t;     (** static instructions influenced *)
 }
-
-(* Every edge [s -> d] ("node [s] depends on [d]"), control dependences
-   included, in ascending [s]. *)
-let iter_edges st f =
-  let last_anchor = ref (-1) in
-  for s = 0 to st.count - 1 do
-    for e = dep_lo st.nodes s to dep_lo st.nodes (s + 1) - 1 do
-      f s (Array.unsafe_get st.deps e)
-    done;
-    if !last_anchor >= 0 then f s !last_anchor;
-    if Bytes.get st.anchors s <> '\000' then last_anchor := s
-  done
-
-(* Walk the graph forward from the given seeds. The graph stores backward
-   edges, so first transpose it into a successor CSR of the same shape:
-   count in-edges per node, prefix-sum into range ends, place each edge
-   while stepping its target's cursor back to the range start, then pack
-   the pcs in beside the offsets. *)
-let forward_from st ~seeds : forward =
-  let n = st.count in
-  let off = Array.make (n + 1) 0 in
-  let edges = ref 0 in
-  iter_edges st (fun _ d ->
-      off.(d) <- off.(d) + 1;
-      incr edges);
-  for d = 1 to n do
-    off.(d) <- off.(d) + off.(d - 1)
-  done;
-  let succ = Array.make (max 1 !edges) 0 in
-  iter_edges st (fun s d ->
-      off.(d) <- off.(d) - 1;
-      succ.(off.(d)) <- s);
-  for s = 0 to n do
-    off.(s) <- (off.(s) lsl pc_bits) lor (if s < n then pc_of st.nodes s else 0)
-  done;
-  let m = pc_marks st in
-  let _, size = walk st m ~ctrl:false ~nodes:off ~adj:succ seeds in
-  { fw_size = size; fw_pcs = pcs_of m }
 
 (** Result of a replay that keeps the dependence graph for further queries
     (forward slices, per-message influence). *)
@@ -603,8 +562,8 @@ type session = {
 (** Attach the graph collector, run the replay, slice backward from the
     fault (or from the final instruction if the replay ended cleanly), and
     keep the graph. *)
-let run_session ?(fuel = 20_000_000) (proc : Osim.Process.t) : session =
-  let st = create proc in
+let run_session ?(fuel = 20_000_000) ?window (proc : Osim.Process.t) : session =
+  let st = create ?window ~fuel proc in
   let outcome = replay st proc.Osim.Process.cpu fuel in
   let fault_pc, roots =
     match outcome with
@@ -616,16 +575,38 @@ let run_session ?(fuel = 20_000_000) (proc : Osim.Process.t) : session =
   { graph = st; outcome; backward = backward st ~fault_pc ~roots }
 
 (** {!run_session}, keeping only the backward slice. *)
-let run ?fuel (proc : Osim.Process.t) : result =
-  let s = run_session ?fuel proc in
+let run ?fuel ?window (proc : Osim.Process.t) : result =
+  let s = run_session ?fuel ?window proc in
   { sl_summary = s.backward; sl_instructions = s.graph.count }
 
+(* Does one of [deps.(e) .. deps.(hi - 1)] name a member? *)
+let rec names_member st in_slice e hi =
+  e < hi
+  && (Bytes.unsafe_get in_slice (Array.unsafe_get st.deps e) <> '\000'
+     || names_member st in_slice (e + 1) hi)
+
 (** Everything influenced by the given input message: the forward slice
-    seeded at that message's receive events. *)
+    seeded at that message's receive events, swept ascending. A node joins
+    when it names a member or its control dependence, the last anchor
+    below it, is one; once an anchor joins, every later node does. *)
 let forward_from_message (session : session) ~msg_id : forward =
+  let st = session.graph in
   let seeds =
-    List.filter_map
-      (fun (s, m) -> if m = msg_id then Some s else None)
-      session.graph.recvs
+    List.filter_map (fun (s, m) -> if m = msg_id then Some s else None) st.recvs
   in
-  forward_from session.graph ~seeds
+  let m = pc_marks st in
+  let in_slice = sweep_init st seeds and size = ref 0 and ctrl = ref false in
+  for s = 0 to st.count - 1 do
+    let joins =
+      !ctrl
+      || Bytes.unsafe_get in_slice s <> '\000'
+      || names_member st in_slice (dep_lo st.nodes s) (dep_lo st.nodes (s + 1))
+    in
+    if joins then begin
+      Bytes.unsafe_set in_slice s '\001';
+      incr size;
+      mark_pc m (pc_of st.nodes s)
+    end;
+    if Bytes.unsafe_get st.anchors s <> '\000' then ctrl := joins
+  done;
+  { fw_size = !size; fw_pcs = pcs_of m }

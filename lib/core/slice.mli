@@ -7,7 +7,8 @@
     instruction is everything that influenced it — a superset of what
     taint analysis sees, which is why it acts as the sanity check on every
     other analysis. Forward slices (everything an input influenced) come
-    from the same graph. *)
+    from the same graph. Every dependence names an earlier node, so each
+    slice is one linear sweep: backward descends, forward ascends. *)
 
 module Int_set : Set.S with type elt = int and type t = Set.Make(Int).t
 
@@ -27,9 +28,13 @@ type result = {
   sl_instructions : int;
 }
 
-val run : ?fuel:int -> Osim.Process.t -> result
+val run : ?fuel:int -> ?window:int -> Osim.Process.t -> result
 (** Attach the graph collector, run the replay, slice backward from the
-    fault (or from the final instruction if the replay ended cleanly). *)
+    fault (or from the final instruction if the replay ended cleanly).
+    [window] is the replay's expected length in instructions (the
+    slicing stage passes its context's [cx_window]): the graph is
+    allocated once for [min window fuel] nodes. Without it, or past it,
+    the graph grows by doubling. *)
 
 val verifies : summary -> int -> bool
 (** Does the slice contain an instruction another analysis blamed? The
@@ -48,7 +53,8 @@ type session = {
   backward : summary;
 }
 
-val run_session : ?fuel:int -> Osim.Process.t -> session
+val run_session : ?fuel:int -> ?window:int -> Osim.Process.t -> session
+(** {!run}, keeping the graph for forward queries. *)
 
 val forward_from_message : session -> msg_id:int -> forward
 (** Everything influenced by the given input message. *)

@@ -33,6 +33,8 @@ type ctx = {
       (** true when the ring had been overwritten/purged and the replay
           driver fell back to the server's origin checkpoint *)
   cx_upto : int;               (** replay window: log cursor at the crash *)
+  cx_window : int;
+      (** replay length in instructions: crash icount − [cx_ck]'s *)
   cx_suspects : int list;      (** message ids consumed since [cx_ck] *)
   (* Stage products, in pipeline order. [None] means "stage not run". *)
   cx_coredump : Coredump.report option;
@@ -122,9 +124,9 @@ end
 
 (** The shared context for an attack just detected on [server]: rollback
     point (newest checkpoint at or before the message being serviced when
-    the monitors tripped), suspect window, crash pc. Reads machine state
-    only — the first rollback happens when a stage asks the driver to
-    replay. *)
+    the monitors tripped), suspect window, replay length, crash pc. Reads
+    machine state only — the first rollback happens when a stage asks the
+    driver to replay. *)
 let init ~app (server : Osim.Server.t) (fault : Vm.Event.fault) =
   let p = server.Osim.Server.proc in
   let net = p.Osim.Process.net in
@@ -145,6 +147,7 @@ let init ~app (server : Osim.Server.t) (fault : Vm.Event.fault) =
     cx_ck = ck;
     cx_ck_fallback = fallback;
     cx_upto = crash_cursor;
+    cx_window = p.Osim.Process.cpu.Vm.Cpu.icount - ck.Osim.Checkpoint.ck_icount;
     cx_suspects = suspects;
     cx_coredump = None;
     cx_membug = None;

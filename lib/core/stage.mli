@@ -27,6 +27,11 @@ type ctx = {
       (** true when the ring had been overwritten/purged and the replay
           driver fell back to the server's origin checkpoint *)
   cx_upto : int;              (** replay window: log cursor at the crash *)
+  cx_window : int;
+      (** replay length in instructions, from [cx_ck] to the crash: the
+          icount at the fault minus [cx_ck]'s. A faithful replay of the
+          window runs exactly this many, so the slicing stage sizes its
+          dependence graph from it. *)
   cx_suspects : int list;     (** message ids consumed since [cx_ck] *)
   cx_coredump : Coredump.report option;
   cx_membug : Membug.report option;
@@ -101,7 +106,8 @@ end
 
 val init : app:string -> Osim.Server.t -> Vm.Event.fault -> ctx
 (** The shared context for an attack just detected on the server:
-    rollback point, suspect window, crash pc. Reads machine state only. *)
+    rollback point, suspect window, replay length, crash pc. Reads
+    machine state only. *)
 
 val run : t -> ctx -> ctx
 (** Run one stage, recording its wall time and monitored instructions. *)
